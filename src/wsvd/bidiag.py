@@ -35,20 +35,31 @@ class ApproxTriplet:
     residual_bound: float
 
 
+# Columns a fresh basis buffer holds; a full buffer doubles.
+_INITIAL_COLUMNS = 32
+
+
 @dataclass
 class BidiagState:
     """State of the recursion after k completed steps.
 
     alphas holds alpha_1..alpha_{k+1} and betas holds beta_1..beta_{k+1}
     (trailing entries may be missing or zero when the recursion terminated
-    mid-step).  ps and qs hold the basis vectors.  Each step appends exactly
-    one beta, so k = len(betas) - 1.
+    mid-step).  Each step appends exactly one beta, so k = len(betas) - 1.
+
+    The basis vectors live as columns of two F-ordered buffers, m x cap and
+    n x cap, whose capacity doubles when full.  P and Q are read-only views
+    of their filled columns; ps and qs are the same views transposed, so
+    ps[i] is p_{i+1} and qs[i] is q_{i+1}.  A view taken before the buffer
+    grows keeps the old buffer, so take views after stepping.
     """
 
+    p_buf: np.ndarray
+    q_buf: np.ndarray
+    p_count: int = 0
+    q_count: int = 0
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
-    ps: list = field(default_factory=list)
-    qs: list = field(default_factory=list)
     terminated: bool = False
     termination_step: int | None = None
     scale: float = 0.0
@@ -59,26 +70,62 @@ class BidiagState:
 
     @property
     def P(self):
-        """Left basis as columns, m x len(ps)."""
-        return np.column_stack(self.ps)
+        """Left basis as columns, m x p_count, a read-only view."""
+        return _view(self.p_buf, self.p_count)
 
     @property
     def Q(self):
-        """Right basis as columns, n x len(qs)."""
-        return np.column_stack(self.qs)
+        """Right basis as columns, n x q_count, a read-only view."""
+        return _view(self.q_buf, self.q_count)
+
+    @property
+    def ps(self):
+        """Left basis vectors as rows (P transposed), read-only."""
+        return self.P.T
+
+    @property
+    def qs(self):
+        """Right basis vectors as rows (Q transposed), read-only."""
+        return self.Q.T
+
+    def append_p(self, p):
+        """Store p as the next left basis column, growing the buffer if full."""
+        self.p_buf = _with_room(self.p_buf, self.p_count)
+        self.p_buf[:, self.p_count] = p
+        self.p_count += 1
+
+    def append_q(self, q):
+        """Store q as the next right basis column, growing the buffer if full."""
+        self.q_buf = _with_room(self.q_buf, self.q_count)
+        self.q_buf[:, self.q_count] = q
+        self.q_count += 1
 
 
-def _reorth_left(r, ps):
+def _view(buf, cols):
+    view = buf[:, :cols]
+    view.flags.writeable = False
+    return view
+
+
+def _with_room(buf, used):
+    """buf itself while it has a free column past `used`, else a copy with
+    twice the columns."""
+    if used < buf.shape[1]:
+        return buf
+    grown = np.empty((buf.shape[0], 2 * buf.shape[1]), order="F")
+    grown[:, :used] = buf
+    return grown
+
+
+def _reorth_left(r, pm):
     # two classical Gram-Schmidt passes against the 2-orthonormal columns
-    pm = np.column_stack(ps)
     for _ in range(2):
         r = r - pm @ (pm.T @ r)
     return r
 
 
-def _reorth_right(s, qs, weight):
+def _reorth_right(s, qm, weight):
     # two passes in the M-inner product; coefficients via M s
-    qm = np.column_stack(qs)
     for _ in range(2):
         s = s - qm @ (qm.T @ weight.matvec(s))
     return s
@@ -87,8 +134,10 @@ def _reorth_right(s, qs, weight):
 def wgkb_init(a, weight, b):
     """First vectors of the recursion.
 
-    Raises ValueError for b = 0.  If b is orthogonal to the range of A
-    (alpha_1 = 0) the returned state is already terminated with
+    Raises ValueError for b = 0 and for non-finite entries in b or A.  A is
+    not scanned: any NaN or inf in it reaches A^T p_1 (NaN * 0 and inf * 0
+    are NaN), which is checked instead.  If b is orthogonal to the range of
+    A (alpha_1 = 0) the returned state is already terminated with
     termination_step 0.
     """
     a = np.asarray(a, dtype=float)
@@ -99,21 +148,28 @@ def wgkb_init(a, weight, b):
         raise ValueError(
             f"matrix has {a.shape[1]} columns, weight matrix is {weight.n}x{weight.n}"
         )
+    if not np.isfinite(b).all():
+        raise ValueError("starting vector b has non-finite entries")
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
         raise ValueError("starting vector b must be nonzero")
     p1 = b / beta1
     sbar = a.T @ p1
+    if not np.isfinite(sbar).all():
+        raise ValueError("matrix has non-finite entries")
     s = weight.solve(sbar)
     alpha1 = float(np.sqrt(max(s @ sbar, 0.0)))
-    state = BidiagState(betas=[beta1], ps=[p1])
+    state = BidiagState(p_buf=np.empty((a.shape[0], _INITIAL_COLUMNS), order="F"),
+                        q_buf=np.empty((a.shape[1], _INITIAL_COLUMNS), order="F"),
+                        betas=[beta1])
+    state.append_p(p1)
     # no bidiagonal scale exists yet; compare against the matrix scale
     if alpha1 <= BREAK_TOL * np.linalg.norm(a, "fro"):
         state.terminated = True
         state.termination_step = 0
         return state
     state.alphas.append(alpha1)
-    state.qs.append(s / alpha1)
+    state.append_q(s / alpha1)
     state.scale = alpha1
     return state
 
@@ -128,10 +184,11 @@ def wgkb_step(state, a, weight, reorth=True):
     if state.terminated:
         raise RuntimeError("bidiagonalization already terminated")
     i = state.k + 1
-    alpha_i = state.alphas[-1]
-    r = a @ state.qs[-1] - alpha_i * state.ps[-1]
+    pm, qm = state.P, state.Q
+    q_last = qm[:, -1]
+    r = a @ q_last - state.alphas[-1] * pm[:, -1]
     if reorth:
-        r = _reorth_left(r, state.ps)
+        r = _reorth_left(r, pm)
     beta = float(np.linalg.norm(r))
     if beta <= BREAK_TOL * state.scale:
         state.betas.append(0.0)
@@ -141,11 +198,11 @@ def wgkb_step(state, a, weight, reorth=True):
     state.betas.append(beta)
     state.scale = max(state.scale, beta)
     p = r / beta
-    state.ps.append(p)
-    sbar = a.T @ p - beta * weight.matvec(state.qs[-1])
+    state.append_p(p)
+    sbar = a.T @ p - beta * weight.matvec(q_last)
     s = weight.solve(sbar)
     if reorth:
-        s = _reorth_right(s, state.qs, weight)
+        s = _reorth_right(s, qm, weight)
         sbar = weight.matvec(s)
     alpha = float(np.sqrt(max(s @ sbar, 0.0)))
     if alpha <= BREAK_TOL * state.scale:
@@ -155,7 +212,7 @@ def wgkb_step(state, a, weight, reorth=True):
         return state
     state.alphas.append(alpha)
     state.scale = max(state.scale, alpha)
-    state.qs.append(s / alpha)
+    state.append_q(s / alpha)
     return state
 
 

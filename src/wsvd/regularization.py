@@ -103,13 +103,20 @@ class LCurveStop(NamedTuple):
 
 
 def lcurve_points(residual_norms, solution_m_norms):
-    """Deduplicated log-log points and the 1-based iteration index of each."""
+    """Deduplicated log-log points and the 1-based iteration index of each.
+
+    Only the leading run of points with both norms positive and finite is
+    used: a breakdown step reports a residual of exactly 0, whose log is
+    -inf, and nothing after a non-finite point is trusted.
+    """
     res = np.asarray(residual_norms, dtype=float)
     mn = np.asarray(solution_m_norms, dtype=float)
     if res.shape != mn.shape:
         raise ValueError("residual and solution norm histories differ in length")
-    pts = np.column_stack([np.log(res), np.log(mn)])
-    keep = [0]
+    ok = np.isfinite(res) & np.isfinite(mn) & (res > 0) & (mn > 0)
+    lead = ok.size if ok.all() else int(np.argmin(ok))
+    pts = np.column_stack([np.log(res[:lead]), np.log(mn[:lead])])
+    keep = [0] if lead else []
     for i in range(1, pts.shape[0]):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) >= _LC_DEDUP:
             keep.append(i)
@@ -147,7 +154,11 @@ def stop_lcurve(residual_norms, solution_m_norms):
 
     Needs at least 5 history points.  A flat (collinear) history sets the
     no_corner flag and still returns the interior index of largest
-    curvature.
+    curvature.  Only the leading run of points whose log residual and log
+    M-norm are both finite is used (see lcurve_points).  At a beta
+    breakdown the recurrence reports a residual of exactly 0 for the last
+    step, so that step is dropped and its iterate, often blown up, is never
+    the corner.  Fewer than 3 usable points give index 1 with no_corner set.
     """
     if len(residual_norms) < 5:
         raise ValueError(

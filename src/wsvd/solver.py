@@ -57,7 +57,7 @@ def wlsqr_init(a, weight, b):
     if bid.terminated:
         return WlsqrState(x=x, w=None, phibar=bid.betas[0], rhobar=0.0,
                           bidiag=bid, done=True)
-    return WlsqrState(x=x, w=bid.qs[0].copy(), phibar=bid.betas[0],
+    return WlsqrState(x=x, w=bid.Q[:, 0].copy(), phibar=bid.betas[0],
                       rhobar=bid.alphas[0], bidiag=bid)
 
 
@@ -75,7 +75,8 @@ def wlsqr_step(state, a, weight, reorth=True):
     i = bid.k
     beta_next = bid.betas[i]
     alpha_next = bid.alphas[i] if len(bid.alphas) > i else 0.0
-    q_next = bid.qs[i] if len(bid.qs) > i else None
+    q = bid.Q
+    q_next = q[:, i] if q.shape[1] > i else None
 
     rho = float(np.hypot(state.rhobar, beta_next))
     c = state.rhobar / rho

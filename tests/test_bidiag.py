@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, approx_triplets, project_bidiagonal,
-                  weighted_operator_norm, wgkb_init, wgkb_step, wsvd)
+from wsvd import (WeightMatrix, add_noise, approx_triplets, build_problem,
+                  project_bidiagonal, weighted_operator_norm, wgkb_init, wgkb_step,
+                  wsvd)
 
 from test_weights import random_spd
 
@@ -244,3 +245,90 @@ def test_no_reorth_still_runs():
     a, weight, b = setup_random(45)
     state = run_steps(a, weight, b, 5, reorth=False)
     assert state.k == 5
+
+
+# -- column buffers -----------------------------------------------------------
+
+def reference_wgkb(a, weight, b, steps):
+    """List-of-vectors weighted recursion with two classical Gram-Schmidt
+    passes per vector, the basis rebuilt from the lists at every step.
+
+    np.array(ps).T has the column layout of the engine's buffers, so both
+    run the same products in the same summation order and any difference is
+    a bookkeeping fault.  (A C-ordered rebuild such as np.column_stack sums
+    in another order; on this problem that moves the late, small alphas by
+    up to 3e-12 relative.)
+    """
+    beta = np.linalg.norm(b)
+    ps = [b / beta]
+    betas, alphas = [beta], []
+    s = weight.solve(a.T @ ps[0])
+    alpha = np.sqrt(s @ weight.matvec(s))
+    qs = [s / alpha]
+    alphas.append(alpha)
+    for _ in range(steps):
+        r = a @ qs[-1] - alpha * ps[-1]
+        pm = np.array(ps).T
+        for _ in range(2):
+            r = r - pm @ (pm.T @ r)
+        beta = np.linalg.norm(r)
+        ps.append(r / beta)
+        s = weight.solve(a.T @ ps[-1] - beta * weight.matvec(qs[-1]))
+        qm = np.array(qs).T
+        for _ in range(2):
+            s = s - qm @ (qm.T @ weight.matvec(s))
+        alpha = np.sqrt(s @ weight.matvec(s))
+        qs.append(s / alpha)
+        alphas.append(alpha)
+        betas.append(beta)
+    return alphas, betas
+
+
+@pytest.fixture(scope="module")
+def phillips_70():
+    # 70 steps pass the buffer's first two growths (32 and 64 columns)
+    problem = build_problem("phillips", 120, 101)
+    b = add_noise(problem, 1e-3, 0).b
+    state = run_steps(problem.a, problem.weight, b, 70)
+    assert state.k == 70 and not state.terminated
+    assert state.p_buf.shape[1] > 64 and state.q_buf.shape[1] > 64
+    return problem, b, state
+
+
+def test_buffers_keep_orthonormality_past_growth(phillips_70):
+    problem, _, state = phillips_70
+    p, q = state.P, state.Q
+    assert p.shape == (120, 71) and q.shape == (101, 71)
+    assert np.linalg.norm(p.T @ p - np.eye(71), 2) <= 1e-14
+    assert np.linalg.norm(q.T @ problem.weight.matvec(q) - np.eye(71), 2) <= 1e-14
+
+
+def test_buffers_match_list_reference(phillips_70):
+    problem, b, state = phillips_70
+    alphas, betas = reference_wgkb(problem.a, problem.weight, b, 70)
+    assert np.allclose(state.alphas, alphas, rtol=1e-12, atol=0)
+    assert np.allclose(state.betas, betas, rtol=1e-12, atol=0)
+
+
+def test_bases_are_read_only_views(phillips_70):
+    _, _, state = phillips_70
+    for view, buf in ((state.P, state.p_buf), (state.Q, state.q_buf)):
+        assert not view.flags.writeable
+        assert np.shares_memory(view, buf)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    # the list-style accessors are the same views transposed
+    assert np.shares_memory(state.ps, state.p_buf) and not state.ps.flags.writeable
+    assert np.shares_memory(state.qs, state.q_buf) and not state.qs.flags.writeable
+    assert len(state.ps) == state.k + 1 and np.array_equal(state.qs[3], state.Q[:, 3])
+
+
+def test_step_within_capacity_copies_no_basis():
+    a, weight, b = setup_random(46)
+    state = run_steps(a, weight, b, 3)
+    p_before = state.P
+    wgkb_step(state, a, weight)
+    # the earlier view is a prefix of the new one: same memory, no rebuild
+    assert np.shares_memory(p_before, state.P)
+    assert np.array_equal(state.P[:, :4], p_before)
+

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem,
                   lcurve_curvature, lcurve_points, lsqr_baseline, spr_solve,
                   stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
-                  tikhonov_wsvd, wsvd)
+                  tikhonov_wsvd, wlsqr_run, wsvd)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,19 @@ def test_lcurve_points_dedup():
     pts, ks = lcurve_points(res, mn)
     assert len(ks) == 5
     assert 2 not in ks or 1 not in ks  # one of the duplicates dropped
+
+
+def test_lcurve_points_stop_at_first_non_finite_log():
+    # a breakdown step reports a zero residual; it and everything after it go
+    res = np.array([1.0, 0.5, 0.2, 0.0, 0.1])
+    mn = np.array([1.0, 2.0, 4.0, 1e13, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pts, ks = lcurve_points(res, mn)
+        assert list(ks) == [1, 2, 3]
+        assert np.all(np.isfinite(pts))
+        assert lcurve_points([0.0, 1.0], [1.0, 1.0])[1].size == 0
+        assert stop_lcurve(np.r_[np.nan, np.ones(5)], np.ones(6)) == (1, True)
 
 
 def test_stopping_rule_validation():
@@ -219,3 +234,36 @@ def test_run_record_consistency(shaw_small):
     assert len(rec.residual_norms) == len(rec.solution_m_norms) == len(rec.rel_errors)
     assert rec.rule == "oracle"
     assert rec.wall_ms >= 0
+
+
+@pytest.mark.parametrize("name, corner", [("shaw", 8), ("expst", 3)])
+def test_spr_lcurve_skips_breakdown_step(name, corner):
+    # at table size both recursions break down (shaw at step 21, expst at
+    # step 9) with a recurrence residual of exactly 0; the corner must come
+    # from the history before it, not from the blown-up breakdown iterate
+    problem = build_problem(name)
+    noisy = add_noise(problem, 1e-3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, record = spr_solve(problem.a, problem.weight, noisy.b,
+                              StoppingRule("lc"), x_true=problem.x_true)
+    assert record.terminated_at is not None
+    assert record.residual_norms[-1] == 0.0
+    assert record.stop_index == corner and record.satisfied
+    assert np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true) < 0.1
+
+
+@pytest.mark.parametrize("where", ["b", "a"])
+def test_non_finite_input_rejected(shaw_small, where):
+    problem, noisy = shaw_small
+    a, b = problem.a, noisy.b
+    if where == "b":
+        b = b.copy()
+        b[5] = np.nan
+    else:
+        a = a.copy()
+        a[17, 40] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        wlsqr_run(a, problem.weight, b)
+    with pytest.raises(ValueError, match="non-finite"):
+        spr_solve(a, problem.weight, b, StoppingRule("lc"))
