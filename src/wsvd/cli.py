@@ -175,6 +175,12 @@ def _fmt(x):
     return f"{x:.12e}"
 
 
+def _fmt_log(x):
+    """log(x), or nan (as in the curvature column) where x is not a finite
+    positive norm, e.g. the zero residual of a breakdown step."""
+    return _fmt(np.log(x)) if np.isfinite(x) and x > 0 else "nan"
+
+
 def _problem_tag(cfg, epsilon, seed):
     return f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}_eps{epsilon:g}_seed{seed}"
 
@@ -416,7 +422,7 @@ def cmd_lcurve(args):
     rows = []
     for i, k in enumerate(ks):
         c = curv_map.get(k)
-        rows.append((str(k), _fmt(np.log(res[i])), _fmt(np.log(mnorms[i])),
+        rows.append((str(k), _fmt_log(res[i]), _fmt_log(mnorms[i]),
                      _fmt(c) if c is not None else "nan",
                      "true" if k == corner.index else "false"))
     path = os.path.join(cfg.out, "lcurve.csv")

@@ -79,25 +79,53 @@ def simpson_weights(n, t1, t2, paper_h=False):
 
 
 def _phillips_phi(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) < 3.0, 1.0 + np.cos(np.pi * x / 3.0), 0.0)
+    """phi(x) = 1 + cos(pi x / 3) for |x| < 3, else 0, written over x in place."""
+    inside = x < 3.0
+    inside &= x > -3.0  # the same test as |x| < 3, without an |x| array
+    x *= np.pi
+    x /= 3.0
+    np.cos(x, out=x)
+    x += 1.0
+    np.copyto(x, 0.0, where=~inside)
+    return x
 
 
 def kernel_eval(name, s, t):
-    """K(s, t), vectorized with broadcasting over s and t."""
+    """K(s, t), vectorized with broadcasting over s and t.
+
+    The result is assembled in one output array by in-place ufuncs (shaw
+    needs a second one for its sinc factor), so no other temporary of the
+    broadcast shape is alive at once.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    if name not in TABLE_DIMS:
+        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    out = np.empty(np.broadcast_shapes(s.shape, t.shape))
     if name == "shaw":
-        u = np.pi * (np.sin(s) + np.sin(t))
-        # sinc handles the removable singularity at u = 0
-        return (np.cos(s) + np.cos(t)) ** 2 * np.sinc(u / np.pi) ** 2
-    if name == "phillips":
-        return _phillips_phi(s - t)
-    if name == "expst":
-        return np.exp(s * t)
-    if name == "green":
-        return np.where(s < t, s * (1.0 - t), t * (1.0 - s))
-    raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+        # (cos s + cos t)^2 sinc(u / pi)^2 with u = pi (sin s + sin t) and
+        # numpy's sinc spelled out step for step (x = u / pi, y = pi x,
+        # y = where(y, y, eps), sin(y) / y), so every entry keeps the bits of
+        # np.sinc; eps handles the removable singularity at u = 0
+        np.add(np.sin(s), np.sin(t), out=out)
+        out *= np.pi
+        out /= np.pi
+        out *= np.pi
+        np.copyto(out, np.finfo(float).eps, where=out == 0)
+        sinc = np.sin(out)
+        sinc /= out
+        sinc *= sinc
+        np.add(np.cos(s), np.cos(t), out=out)
+        out *= out
+        out *= sinc
+    elif name == "phillips":
+        _phillips_phi(np.subtract(s, t, out=out))
+    elif name == "expst":
+        np.exp(np.multiply(s, t, out=out), out=out)
+    else:  # green: s (1 - t) for s < t, else t (1 - s)
+        np.multiply(s, 1.0 - t, out=out)
+        np.multiply(t, 1.0 - s, out=out, where=~(s < t))
+    return out if out.ndim else out[()]
 
 
 def true_solution(name, t):
@@ -106,7 +134,7 @@ def true_solution(name, t):
     if name == "shaw":
         return 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
     if name == "phillips":
-        return _phillips_phi(t)
+        return _phillips_phi(t.copy())
     if name == "expst":
         return np.exp(t) * np.cos(t)
     if name == "green":
@@ -127,7 +155,8 @@ def build_problem(name, m=None, n=None, paper_h=False):
     t = np.linspace(t1, t2, n)
     s = np.linspace(t1, t2, m)
     w = simpson_weights(n, t1, t2, paper_h=paper_h)
-    a = kernel_eval(name, s[:, None], t[None, :]) * w[None, :]
+    a = kernel_eval(name, s[:, None], t[None, :])
+    a *= w
     x_true = true_solution(name, t)
     return TestProblem(
         name=name,
@@ -181,13 +210,14 @@ def save_problem(dirpath, problem, noisy):
     """Write a problem and its noisy data to a directory (created if needed)."""
     os.makedirs(dirpath, exist_ok=True)
 
-    def put(fname, arr):
+    def put(fname, arr, header=None):
+        # tofile writes straight from the array, without a bytes copy of A
         with open(os.path.join(dirpath, fname), "wb") as fh:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            if header is not None:
+                np.array(header, dtype="<i8").tofile(fh)
+            np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
 
-    with open(os.path.join(dirpath, "A"), "wb") as fh:
-        fh.write(np.array(problem.a.shape, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(problem.a, dtype="<f8").tobytes())
+    put("A", problem.a, header=problem.a.shape)
     put("M.diag", problem.weight.diag)
     put("x_true", problem.x_true)
     put("b_exact", problem.b_exact)
@@ -224,21 +254,22 @@ def load_problem(dirpath):
     t1, t2 = float(meta["t1"]), float(meta["t2"])
     paper_h = bool(int(meta.get("paper_h", "0")))
 
-    def get(fname, count):
+    def get(fname, count, header=None):
+        # fromfile reads straight into the result, so A is held only once
         with open(os.path.join(dirpath, fname), "rb") as fh:
-            arr = np.frombuffer(fh.read(), dtype="<f8")
-        if arr.size != count:
-            raise ValueError(f"{fname}: expected {count} values, found {arr.size}")
-        return arr.astype(float)
+            if header is not None:
+                dims = tuple(np.fromfile(fh, dtype="<i8", count=2).tolist())
+                if dims != header:
+                    raise ValueError(f"{fname}: header {dims} disagrees with meta {header}")
+            found = (os.fstat(fh.fileno()).st_size - fh.tell()) / 8
+            if found != count:
+                raise ValueError(f"{fname}: expected {count} values, found {found:.12g}")
+            arr = np.fromfile(fh, dtype="<f8", count=count)
+        return arr.astype(float, copy=False)
 
-    with open(os.path.join(dirpath, "A"), "rb") as fh:
-        dims = np.frombuffer(fh.read(16), dtype="<i8")
-        if tuple(dims) != (m, n):
-            raise ValueError(f"A: header {tuple(dims)} disagrees with meta ({m}, {n})")
-        a = np.frombuffer(fh.read(), dtype="<f8").astype(float).reshape(m, n)
     problem = TestProblem(
         name=name,
-        a=a,
+        a=get("A", m * n, header=(m, n)).reshape(m, n),
         weight=WeightMatrix.diagonal(get("M.diag", n)),
         x_true=get("x_true", n),
         b_exact=get("b_exact", m),

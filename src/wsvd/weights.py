@@ -11,7 +11,6 @@ import re
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 _COND_WARN = 1e12
 
@@ -83,6 +82,8 @@ class WeightMatrix:
             )
 
     def _validate_dense(self):
+        import scipy.linalg
+
         a = self._matrix
         if a.shape[0] == 0:
             raise ValueError("weight matrix must be at least 1x1")
@@ -177,6 +178,8 @@ class WeightMatrix:
         if self.kind == "diagonal":
             s = self._sqrt_diag
             return y / s if y.ndim == 1 else y / s[:, None]
+        import scipy.linalg
+
         return scipy.linalg.solve_triangular(
             self._factor, y, lower=True, trans="T" if transpose else "N",
             check_finite=False,

@@ -176,6 +176,31 @@ def test_lcurve_points_mode(tmp_path, capsys):
     assert int(corner[0]["k"]) == 6
 
 
+def test_lcurve_points_zero_residual_row(tmp_path, capsys):
+    # a breakdown step's zero residual: nan log, no RuntimeWarning (an error
+    # in this suite), and the corner of the rows before it
+    log_res = np.concatenate([np.linspace(4.0, 0.0, 6),
+                              np.linspace(0.0, -0.4, 10)[1:]])
+    log_mn = np.concatenate([np.linspace(0.0, 0.5, 6),
+                             np.linspace(0.5, 6.0, 10)[1:]])
+    pts = tmp_path / "pts.csv"
+    with open(pts, "w") as fh:
+        fh.write("k,res_norm,sol_mnorm\n")
+        for i, (r, mn) in enumerate(zip(np.exp(log_res), np.exp(log_mn))):
+            fh.write(f"{i + 1},{float(r)!r},{float(mn)!r}\n")
+        fh.write(f"{len(log_res) + 1},0.0,{float(np.exp(7.0))!r}\n")
+    rc = main(["lcurve", "--points", str(pts), "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    rows = read_csv(tmp_path / "lcurve.csv")
+    assert len(rows) == len(log_res) + 1
+    assert rows[-1]["log_res"] == "nan"
+    assert float(rows[-1]["log_mnorm"]) == pytest.approx(7.0)
+    corner = [r for r in rows if r["is_corner"] == "true"]
+    assert len(corner) == 1
+    assert int(corner[0]["k"]) == 6
+
+
 def test_wsvd_dump(tmp_path, capsys):
     rc = main(["wsvd", "--problem", "green", "--out", str(tmp_path)])
     assert rc == 0

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
+
+import wsvd
 
 from wsvd import (add_noise, build_problem, condition_estimate, kernel_eval,
                   load_problem, save_problem, simpson_weights, true_solution)
@@ -70,6 +77,80 @@ def test_kernel_shaw_removable_singularity():
     val = kernel_eval("shaw", 0.3, -0.3)
     expect = (np.cos(0.3) + np.cos(-0.3)) ** 2
     assert val == pytest.approx(expect, rel=1e-12)
+
+
+def _out_of_place_kernel(name, s, t):
+    # the kernels as plain out-of-place numpy expressions, the reference the
+    # in-place kernel_eval must reproduce bit for bit
+    if name == "shaw":
+        u = np.pi * (np.sin(s) + np.sin(t))
+        return (np.cos(s) + np.cos(t)) ** 2 * np.sinc(u / np.pi) ** 2
+    if name == "phillips":
+        x = s - t
+        return np.where(np.abs(x) < 3.0, 1.0 + np.cos(np.pi * x / 3.0), 0.0)
+    if name == "expst":
+        return np.exp(s * t)
+    return np.where(s < t, s * (1.0 - t), t * (1.0 - s))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("m,n", [(40, 31), (600, 501)])
+def test_assembly_bit_identical_to_out_of_place(name, m, n):
+    prob = build_problem(name, m, n)
+    s, t = prob.s_grid, prob.t_grid
+    ref = _out_of_place_kernel(name, s[:, None], t[None, :]) * prob.weight.diag[None, :]
+    assert prob.a.flags.c_contiguous
+    assert np.array_equal(prob.a, ref)
+
+
+@pytest.mark.parametrize("name,s,t", [
+    # u = pi (sin s + sin t) = 0 exactly on s = -t
+    ("shaw", [0.3, 0.0, -1.2, 1.0], [-0.3, 0.0, 1.2, 0.5]),
+    # |s - t| = 3 is the edge of phi's support, on both sides
+    ("phillips", [4.0, -1.0, 1.0, 2.5, 5.0], [1.0, 2.0, 1.0, 0.0, 1.0]),
+    ("green", [0.5, 0.25, 0.5, 0.0], [0.5, 0.5, 0.25, 1.0]),
+    ("expst", [1.0, 0.0, 0.5], [1.0, 2.0, 0.25]),
+])
+def test_kernel_eval_bit_identical_at_edge_points(name, s, t):
+    s, t = np.array(s), np.array(t)
+    assert np.array_equal(kernel_eval(name, s, t), _out_of_place_kernel(name, s, t))
+    for si, ti in zip(s, t):
+        val = kernel_eval(name, si, ti)
+        assert np.ndim(val) == 0
+        assert val == _out_of_place_kernel(name, si, ti)
+    if name == "phillips":
+        assert np.all(kernel_eval(name, s[:2], t[:2]) == 0.0)
+
+
+@pytest.mark.parametrize("name,bound", [
+    # sinc needs y and sin(y) at once; the others one buffer plus bool masks
+    ("shaw", 2.2), ("phillips", 1.3), ("expst", 1.3), ("green", 1.3),
+])
+def test_build_problem_peak_memory(name, bound):
+    build_problem(name, 20, 11)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        prob = build_problem(name, 600, 501)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * prob.a.nbytes
+
+
+def test_import_and_diagonal_solve_load_no_scipy(tmp_path):
+    # only dense weights use scipy; no built-in problem has one
+    code = (
+        "import sys, wsvd, wsvd.cli\n"
+        "assert wsvd.cli.main(['lcurve', '--problem', 'shaw', '--m', '60', '--n', '41',"
+        " '--epsilon', '1e-2', '--seed', '0', '--max-iter', '10',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_true_solutions():
@@ -214,3 +295,40 @@ def test_save_regeneration_identical(tmp_path):
     save_problem(p2, build_problem("shaw", 30, 21), add_noise(prob, 1e-2, 5))
     for fname in ("A", "M.diag", "x_true", "b_exact", "b", "e", "meta"):
         assert (p1 / fname).read_bytes() == (p2 / fname).read_bytes()
+
+
+def test_save_load_table_scale_round_trip_and_peak(tmp_path):
+    prob = build_problem("green", 600, 501)
+    noisy = add_noise(prob, 1e-3, 2)
+    save_problem(tmp_path, prob, noisy)
+    tracemalloc.start()
+    try:
+        prob2, noisy2 = load_problem(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(prob2.a, prob.a)
+    assert np.array_equal(noisy2.b, noisy.b)
+    # A is read straight into its array: no bytes object or second copy
+    assert peak <= 1.2 * prob.a.nbytes
+
+
+@pytest.mark.parametrize("change", [-8, -3, 8])
+def test_load_rejects_a_payload_of_the_wrong_length(tmp_path, change):
+    prob = build_problem("expst", 24, 15)
+    save_problem(tmp_path, prob, add_noise(prob, 5e-3, 11))
+    path = tmp_path / "A"
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    with pytest.raises(ValueError, match="A: expected 360 values"):
+        load_problem(tmp_path)
+
+
+def test_load_rejects_a_header_that_disagrees_with_meta(tmp_path):
+    prob = build_problem("expst", 24, 15)
+    save_problem(tmp_path, prob, add_noise(prob, 5e-3, 11))
+    path = tmp_path / "A"
+    data = path.read_bytes()
+    path.write_bytes(np.array([15, 24], dtype="<i8").tobytes() + data[16:])
+    with pytest.raises(ValueError, match="header"):
+        load_problem(tmp_path)
