@@ -230,6 +230,21 @@ def project_bidiagonal(state, k=None):
     return b
 
 
+def _lifted_svd(state, count=None):
+    """SVD of the projection mapped back through the bases.
+
+    With B_k = Y Theta H^T the compact SVD of B_k, returns
+    (theta, P Y, Q_k H, last row of Y) restricted to the leading `count`
+    columns (all k by default), in decreasing theta order.  At a beta
+    breakdown P holds k columns and the zero last row of Y is dropped.
+    """
+    k = state.k
+    y, theta, ht = np.linalg.svd(project_bidiagonal(state), full_matrices=False)
+    y, ht = y[:, :count], ht[:count]
+    pmat = state.P
+    return theta[:count], pmat @ y[:pmat.shape[1]], state.Q[:, :k] @ ht.T, y[-1]
+
+
 def approx_triplets(state, count):
     """Leading approximate weighted singular triplets from the projection.
 
@@ -241,20 +256,10 @@ def approx_triplets(state, count):
     k = state.k
     if not 1 <= count <= k:
         raise ValueError(f"count must satisfy 1 <= count <= {k}, got {count}")
-    bk = project_bidiagonal(state)
-    y, theta, ht = np.linalg.svd(bk, full_matrices=False)
-    pmat = state.P
-    qmat = state.Q[:, :k]
+    theta, u, v, y_last = _lifted_svd(state, count)
     alpha_next = state.alphas[k] if len(state.alphas) > k else 0.0
-    out = []
-    for i in range(count):
-        yi = y[:, i]
-        out.append(
-            ApproxTriplet(
-                sigma_bar=float(theta[i]),
-                u_bar=pmat @ yi[: pmat.shape[1]],
-                v_bar=qmat @ ht[i, :],
-                residual_bound=abs(alpha_next * yi[-1]),
-            )
-        )
-    return out
+    return [
+        ApproxTriplet(sigma_bar=float(theta[i]), u_bar=u[:, i], v_bar=v[:, i],
+                      residual_bound=abs(alpha_next * y_last[i]))
+        for i in range(count)
+    ]

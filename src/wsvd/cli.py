@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -212,10 +213,9 @@ def _iterative_histories(problem, noisy, method, cfg):
             np.asarray(errs), state.initial_residual)
 
 
-def _twsvd_histories(problem, noisy, cfg, fact=None):
-    """Residual, M-norm, and error histories of the truncated expansions."""
-    if fact is None:
-        fact = wsvd(problem.a, problem.weight)
+def _twsvd_histories(problem, noisy, fact, cfg):
+    """Residual, M-norm, and error histories of the truncated expansions,
+    plus the initial residual."""
     kmax = fact.rank if cfg.max_iter is None else min(fact.rank, cfg.max_iter)
     ub = fact.u[:, :kmax].T @ noisy.b
     coef = ub / fact.sigma[:kmax]
@@ -227,7 +227,7 @@ def _twsvd_histories(problem, noisy, cfg, fact=None):
     for k in range(kmax):
         x = x + coef[k] * fact.v[:, k]
         errs[k] = np.linalg.norm(x - problem.x_true) / nx
-    return res, mnorms, errs, float(np.linalg.norm(noisy.b)), fact
+    return res, mnorms, errs, float(np.linalg.norm(noisy.b))
 
 
 def _select(rule_kind, cfg, noisy, res, mnorms, errs, initial_residual):
@@ -294,13 +294,14 @@ def cmd_solve(args):
         rel_err = (record.rel_errors[stop_k - 1]
                    if record.rel_errors is not None and stop_k >= 1 else float("nan"))
     elif method == "twsvd":
-        res, mnorms, errs, b0, _ = _twsvd_histories(problem, noisy, cfg)
+        fact = wsvd(problem.a, problem.weight, start=noisy.b)
+        res, mnorms, errs, b0 = _twsvd_histories(problem, noisy, fact, cfg)
         stop_k = _select(rule_kind, cfg, noisy, res, mnorms, errs, b0)
         rel_err = errs[stop_k - 1]
         rows = [(str(k + 1), _fmt(res[k]), _fmt(mnorms[k]), _fmt(errs[k]))
                 for k in range(len(res))]
     else:  # tikh-opt
-        fact = wsvd(problem.a, problem.weight)
+        fact = wsvd(problem.a, problem.weight, start=noisy.b)
         lam, x = tikhonov_opt(fact, noisy.b, problem.x_true)
         rel_err = float(np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true))
         rows = [("0", _fmt(np.linalg.norm(problem.a @ x - noisy.b)),
@@ -330,50 +331,69 @@ def _make_rule(rule_kind, cfg, noisy, problem):
     return StoppingRule(rule_kind)
 
 
+def _error_status(exc):
+    """The status cell of a failed row: type and message, with the commas
+    and line breaks that would split or end the CSV row replaced."""
+    msg = " ".join(str(exc).replace(",", ";").split())
+    return f"error: {type(exc).__name__}: {msg}" if msg else f"error: {type(exc).__name__}"
+
+
 def cmd_sweep(args):
     cfg = _config_from_args(args)
     if args.epsilon is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-    fact_cache = {}
+    # The spectral rows of a pair share one factorization, from the Krylov
+    # route when it terminates for that b.  A dense one does not depend on
+    # b, so the first fallback is kept for every later pair.
+    dense = None
+    dense_lock = threading.Lock()
 
-    def cell(epsilon, seed, method):
+    def factor(noisy):
+        nonlocal dense
+        with dense_lock:
+            if dense is not None:
+                return dense
+            fact = wsvd(problem.a, problem.weight, start=noisy.b)
+            if fact.krylov_steps is None:
+                dense = fact
+            return fact
+
+    def pair(epsilon, seed):
         noisy = add_noise(problem, epsilon, seed)
+        fact = None
         out = []
-        try:
-            if method == "tikh-opt":
-                if "fact" not in fact_cache:
-                    fact_cache["fact"] = wsvd(problem.a, problem.weight)
-                _, x = tikhonov_opt(fact_cache["fact"], noisy.b, problem.x_true)
-                err = np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true)
-                out.append((epsilon, seed, method, "oracle", 0, float(err), "ok"))
-                return out
-            if method == "twsvd":
-                if "fact" not in fact_cache:
-                    fact_cache["fact"] = wsvd(problem.a, problem.weight)
-                res, mnorms, errs, b0, _ = _twsvd_histories(
-                    problem, noisy, cfg, fact_cache["fact"])
-            else:
-                res, mnorms, errs, b0 = _iterative_histories(problem, noisy, method, cfg)
-            for rule_kind in cfg.rules:
-                k = _select(rule_kind, cfg, noisy, res, mnorms, errs, b0)
-                out.append((epsilon, seed, method, rule_kind, k, float(errs[k - 1]), "ok"))
-        except UsageError:
-            raise
-        except Exception as exc:  # noqa: BLE001  a failed cell must not kill the sweep
-            out.append((epsilon, seed, method, "-", 0, float("nan"),
-                        f"error: {type(exc).__name__}"))
+        for method in cfg.methods:
+            try:
+                if method in ("tikh-opt", "twsvd") and fact is None:
+                    fact = factor(noisy)
+                if method == "tikh-opt":
+                    _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
+                    err = np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true)
+                    out.append((epsilon, seed, method, "oracle", 0, float(err), "ok"))
+                    continue
+                if method == "twsvd":
+                    res, mnorms, errs, b0 = _twsvd_histories(problem, noisy, fact, cfg)
+                else:
+                    res, mnorms, errs, b0 = _iterative_histories(problem, noisy, method, cfg)
+                for rule_kind in cfg.rules:
+                    k = _select(rule_kind, cfg, noisy, res, mnorms, errs, b0)
+                    out.append((epsilon, seed, method, rule_kind, k, float(errs[k - 1]), "ok"))
+            except UsageError:
+                raise
+            except Exception as exc:  # noqa: BLE001  a failed cell must not kill the sweep
+                out.append((epsilon, seed, method, "-", 0, float("nan"), _error_status(exc)))
         return out
 
-    cells = [(e, s, m) for e in cfg.epsilons for s in cfg.seeds for m in cfg.methods]
+    pairs = [(e, s) for e in cfg.epsilons for s in cfg.seeds]
     rows = []
     if cfg.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for part in pool.map(lambda c: cell(*c), cells):
+            for part in pool.map(lambda c: pair(*c), pairs):
                 rows.extend(part)
     else:
-        for c in cells:
-            rows.extend(cell(*c))
+        for c in pairs:
+            rows.extend(pair(*c))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     text_rows = [

@@ -3,15 +3,38 @@
 For an SPD weight matrix M, the factorization is A = U S V^T M with
 U^T U = I (columns 2-orthonormal), V^T M V = I (columns M-orthonormal),
 and S holding the positive weighted singular values in nonincreasing order.
-It is computed by a Cholesky transform: with M = L^T L, the standard SVD
-of A L^{-1} = Uh S Vh^T gives U = Uh and V = L^{-1} Vh.
+
+There are two routes.  The dense route, the reference, uses a Cholesky
+transform: with M = L^T L, the standard SVD of A L^{-1} = Uh S Vh^T gives
+U = Uh and V = L^{-1} Vh.  The Krylov route, taken when a starting vector b
+is given, runs the weighted Golub-Kahan recursion from b with full
+reorthogonalization for at most KRYLOV_MAX_STEPS steps.  If it terminates,
+the compact SVD B_k = Y Theta H^T of the projection gives U = P Y, V = Q H
+and S = Theta; if it does not, the dense route runs instead.  Both routes
+keep the values above max(m, n) * eps * sigma_1 of the singular values they
+computed.
+
+At termination the Krylov space contains b and is numerically invariant
+under the weighted normal operator, so every quantity that only sees b
+through U^T b equals its dense counterpart: the Tikhonov and
+minimum-M-norm solutions for that b are the dense ones.  The Krylov
+factorization is partial, though.  It holds one triplet per distinct
+singular value that b excites (a repeated value gives one u, the
+normalized projection of b onto its singular space; rounding may add
+further triplets of that value which b excites only at rounding level),
+so the truncation index of twsvd counts those values and matches the
+dense index unless singular values repeat.  It does not reconstruct A.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bidiag import _lifted_svd, wgkb_init, wgkb_step
 from .weights import WeightMatrix
+
+# Steps the Krylov route takes before it gives up and runs the dense route.
+KRYLOV_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -19,8 +42,10 @@ class WsvdFactorization:
     """Weighted SVD of a matrix.
 
     u and v keep every computed column (min(m, n) in economy form, m and n
-    columns when full); sigma keeps only the rank-many values above the rank
-    tolerance max(m, n) * eps * sigma_1.
+    columns when full, k on the Krylov route); sigma keeps only the
+    rank-many values above the rank tolerance max(m, n) * eps * sigma_1.
+    krylov_steps is the step count k of a Krylov-route factorization and
+    None for the dense route.
     """
 
     u: np.ndarray
@@ -28,6 +53,7 @@ class WsvdFactorization:
     v: np.ndarray
     rank: int
     weight: WeightMatrix
+    krylov_steps: int | None = None
 
     @property
     def null_space(self):
@@ -75,7 +101,28 @@ def _fix_signs(u, v, coupled):
     return u, v
 
 
-def wsvd(a, weight, full_matrices=False):
+def _rank(s, shape):
+    tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(s > tol))
+
+
+def _krylov_wsvd(a, weight, start):
+    """Partial factorization from the recursion started at `start`, or None
+    when it has not terminated within KRYLOV_MAX_STEPS steps or terminated
+    at step 0 (start orthogonal to the range of A, nothing to project)."""
+    state = wgkb_init(a, weight, start)
+    while not state.terminated and state.k < KRYLOV_MAX_STEPS:
+        wgkb_step(state, a, weight)
+    if not state.terminated or state.k == 0:
+        return None
+    theta, u, v, _ = _lifted_svd(state)
+    u, v = _fix_signs(u, v, coupled=state.k)
+    rank = _rank(theta, a.shape)
+    return WsvdFactorization(u=u, sigma=theta[:rank].copy(), v=v, rank=rank,
+                             weight=weight, krylov_steps=state.k)
+
+
+def wsvd(a, weight, full_matrices=False, start=None):
     """Weighted SVD of a, A = U S V^T M.
 
     Parameters
@@ -85,20 +132,29 @@ def wsvd(a, weight, full_matrices=False):
     full_matrices : bool
         When set, u is m x m and v is n x n (v then carries a complete
         M-orthonormal basis including the null space of A).
+    start : (m,) array, optional
+        Try the Krylov route from this vector first (see the module
+        docstring); the result is then partial, exact for solutions with
+        this right-hand side.  Not allowed with full_matrices.
 
     Returns
     -------
     WsvdFactorization
     """
     a = _checked_matrix(a, weight)
+    if start is not None:
+        if full_matrices:
+            raise ValueError("a starting vector gives a partial factorization; "
+                             "full_matrices needs the dense route")
+        fact = _krylov_wsvd(a, weight, start)
+        if fact is not None:
+            return fact
     m, n = a.shape
     b = _transform(a, weight)
     uh, s, vht = np.linalg.svd(b, full_matrices=full_matrices)
     v = weight.solve_factor(vht.T)
-    q = min(m, n)
-    u, v = _fix_signs(uh, v, coupled=q)
-    tol = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > tol))
+    u, v = _fix_signs(uh, v, coupled=min(m, n))
+    rank = _rank(s, a.shape)
     return WsvdFactorization(u=u, sigma=s[:rank].copy(), v=v, rank=rank, weight=weight)
 
 

@@ -79,7 +79,9 @@ def stop_dp(residual_norms, tau, noise_norm):
     by phibar_{k+1} for k = 1, 2, ...  Returns (k, degenerate): the first k
     with residual_norms[k] <= tau * noise_norm, or (None, False) if never
     satisfied.  A threshold already met at x_0 returns k = 1 with the
-    degenerate flag set.
+    degenerate flag set.  Only the leading run of finite entries is scanned,
+    as in lcurve_points: nothing after a NaN or inf is trusted, so a crossing
+    there returns (None, False).
     """
     if tau <= 1:
         raise ValueError(f"tau must be > 1, got {tau}")
@@ -89,12 +91,12 @@ def stop_dp(residual_norms, tau, noise_norm):
     seq = np.asarray(residual_norms, dtype=float)
     if seq.size == 0:
         raise ValueError("empty residual history")
-    if seq[0] <= thr:
+    finite = np.isfinite(seq)
+    lead = seq.size if finite.all() else int(np.argmin(finite))
+    if lead and seq[0] <= thr:
         return 1, True
-    for k in range(1, seq.size):
-        if seq[k] <= thr:
-            return k, False
-    return None, False
+    hits = np.flatnonzero(seq[1:lead] <= thr)
+    return (int(hits[0]) + 1, False) if hits.size else (None, False)
 
 
 class LCurveStop(NamedTuple):

@@ -1,10 +1,12 @@
 import csv
+import sys
 
 import numpy as np
 import pytest
 
-from wsvd import load_problem
-from wsvd.cli import ExperimentConfig, main
+from wsvd import (add_noise, build_problem, decomposition, load_problem, stop_dp,
+                  stop_lcurve, stop_oracle, tikhonov_opt, twsvd_solution)
+from wsvd.cli import ExperimentConfig, _error_status, main
 
 
 def read_csv(path):
@@ -133,6 +135,103 @@ def test_sweep_grid_and_consistency(tmp_path, capsys):
             and r["method"] == "wlsqr" and r["rule"] == "dp"][0]
     assert int(cell["stop_k"]) == int(srow[3])
     assert float(cell["rel_err"]) == pytest.approx(float(srow[4]), rel=1e-12)
+
+
+def count_krylov_attempts(monkeypatch):
+    """A list that grows by one per Krylov-route attempt of wsvd."""
+    calls = []
+    original = decomposition.wgkb_init
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "wgkb_init", counting)
+    return calls
+
+
+def dense_spectral_rows(problem, fact, noisy, tau=1.01):
+    """{(method, rule): (stop_k, rel_err)} of one (epsilon, seed) pair from
+    the dense factorization, with residuals computed from the iterates."""
+    nx = np.linalg.norm(problem.x_true)
+    xs = [twsvd_solution(fact, noisy.b, k) for k in range(1, fact.rank + 1)]
+    res = np.array([np.linalg.norm(problem.a @ x - noisy.b) for x in xs])
+    mnorms = np.array([problem.weight.norm(x) for x in xs])
+    errs = np.array([np.linalg.norm(x - problem.x_true) / nx for x in xs])
+    k_dp, _ = stop_dp(np.concatenate([[np.linalg.norm(noisy.b)], res]), tau,
+                      np.linalg.norm(noisy.e))
+    ks = {"dp": k_dp or len(res), "lc": stop_lcurve(res, mnorms).index,
+          "oracle": stop_oracle(errs)}
+    out = {("twsvd", rule): (k, errs[k - 1]) for rule, k in ks.items()}
+    _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
+    out[("tikh-opt", "oracle")] = (0, np.linalg.norm(x - problem.x_true) / nx)
+    return out
+
+
+def test_spectral_sweep_rows_match_dense(tmp_path, capsys, monkeypatch):
+    attempts = count_krylov_attempts(monkeypatch)
+    rc = main(["sweep", "--problem", "shaw", *SMALL, "--epsilon", "1e-2", "1e-3",
+               "--seed", "0", "1", "--method", "twsvd", "tikh-opt",
+               "--rule", "dp", "lc", "oracle", "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    assert len(attempts) == 4  # one factorization per (epsilon, seed) pair
+    rows = read_csv(tmp_path / "sweep_shaw.csv")
+    assert len(rows) == 4 * 4 and all(r["status"] == "ok" for r in rows)
+    problem = build_problem("shaw", 120, 101)
+    fact = decomposition.wsvd(problem.a, problem.weight)
+    for eps in (1e-2, 1e-3):
+        for seed in (0, 1):
+            ref = dense_spectral_rows(problem, fact, add_noise(problem, eps, seed))
+            got = {(r["method"], r["rule"]): (int(r["stop_k"]), float(r["rel_err"]))
+                   for r in rows if float(r["epsilon"]) == eps and int(r["seed"]) == seed}
+            assert got.keys() == ref.keys()
+            for key, (k, err) in ref.items():
+                assert got[key][0] == k, key
+                assert abs(got[key][1] - err) <= 1e-10 * err, key
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_spectral_sweep_falls_back_to_dense_once(tmp_path, capsys, monkeypatch, jobs):
+    # phillips never terminates within the step cap; the dense factorization
+    # of the first fallback serves every later pair, also when more threads
+    # than cores race for it
+    attempts = count_krylov_attempts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rc = main(["sweep", "--problem", "phillips", *SMALL,
+                   "--epsilon", "1e-2", "1e-3", "1e-4", "--seed", "0", "1",
+                   "--method", "twsvd", "tikh-opt", "--rule", "oracle",
+                   "--jobs", jobs, "--out", str(tmp_path)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert rc == 0
+    capsys.readouterr()
+    assert len(attempts) == 1
+    rows = read_csv(tmp_path / "sweep_phillips.csv")
+    assert len(rows) == 6 * 2 and all(r["status"] == "ok" for r in rows)
+
+
+def test_sweep_failed_cell_keeps_its_message(tmp_path, capsys):
+    # three iterations are too few for the L-curve rule
+    rc = main(["sweep", "--problem", "shaw", "--m", "60", "--n", "41", "--epsilon", "1e-2",
+               "--method", "wlsqr", "--rule", "lc", "--max-iter", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    rows = read_csv(tmp_path / "sweep_shaw.csv")
+    assert len(rows) == 1
+    row = rows[0]
+    # all 8 columns, none spilled over (key None) or missing (value None)
+    assert len(row) == 8 and None not in row and None not in row.values()
+    assert row["status"].startswith("error: ValueError: ")
+    assert "got 3" in row["status"]
+
+
+def test_error_status_keeps_the_row_intact():
+    assert _error_status(ValueError("a, b\nc")) == "error: ValueError: a; b c"
+    assert _error_status(RuntimeError()) == "error: RuntimeError"
 
 
 def test_sweep_config_round_trip_on_disk(tmp_path, capsys):

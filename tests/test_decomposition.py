@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, low_rank_approx, min_m_norm_ls, tikhonov_wsvd,
-                  twsvd_solution, weighted_operator_norm, wsvd)
+from wsvd import (WeightMatrix, add_noise, build_problem, low_rank_approx,
+                  min_m_norm_ls, tikhonov_wsvd, twsvd_solution,
+                  weighted_operator_norm, wsvd)
 
 from test_weights import random_spd
 
@@ -213,3 +214,76 @@ def test_solution_b_shape_validation():
     f = wsvd(np.eye(3), WeightMatrix.identity(3))
     with pytest.raises(ValueError):
         min_m_norm_ls(f, np.ones(4))
+
+
+# -- the Krylov route (a starting vector) ------------------------------------
+
+@pytest.mark.parametrize("name", ["shaw", "expst"])
+def test_krylov_route_matches_dense(name):
+    problem = build_problem(name, 600, 501)
+    a, w = problem.a, problem.weight
+    fk = wsvd(a, w, start=add_noise(problem, 1e-3, 0).b)
+    fd = wsvd(a, w)
+    assert fk.krylov_steps is not None and fd.krylov_steps is None
+    assert fk.rank == fd.rank
+    k = fk.krylov_steps
+    assert fk.u.shape == (600, k) and fk.v.shape == (501, k)
+    # a singular value is accurate to about eps * sigma_1 on either route,
+    # which is all expst's sigma_8 (1e-12 sigma_1) allows; values above
+    # 1e-3 sigma_1 agree to 1e-12 relative
+    gap = np.abs(fk.sigma[:8] - fd.sigma[:8])
+    assert np.all(gap <= 1e-12 * fd.sigma[0])
+    big = fd.sigma[:8] >= 1e-3 * fd.sigma[0]
+    assert np.all(gap[big] <= 1e-12 * fd.sigma[:8][big])
+    assert np.max(np.abs(fk.u.T @ fk.u - np.eye(k))) <= 1e-12
+    assert np.max(np.abs(fk.v.T @ w.matvec(fk.v) - np.eye(k))) <= 1e-12
+    r = fk.rank
+    u, v, sig = fk.u[:, :r], fk.v[:, :r], fk.sigma
+    assert np.max(np.abs(a @ v - u * sig)) <= 1e-12 * sig[0]
+    assert np.max(np.abs(a.T @ u - w.matvec(v) * sig)) <= 1e-12 * sig[0]
+
+
+def test_krylov_route_falls_back_to_dense():
+    problem = build_problem("phillips", 120, 101)
+    fk = wsvd(problem.a, problem.weight, start=add_noise(problem, 1e-3, 0).b)
+    fd = wsvd(problem.a, problem.weight)
+    assert fk.krylov_steps is None
+    assert fk.rank == fd.rank == 101
+    assert np.array_equal(fk.sigma, fd.sigma) and np.array_equal(fk.u, fd.u)
+
+
+def test_krylov_route_start_orthogonal_to_range_falls_back():
+    # alpha_1 = 0: no projection to build, so the dense route runs
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    f = wsvd(a, WeightMatrix.diagonal([4.0, 1.0]), start=np.array([0.0, 1.0]))
+    assert f.krylov_steps is None and f.rank == 1
+
+
+def test_krylov_route_with_a_repeated_singular_value():
+    rng = np.random.default_rng(23)
+    m, n = 40, 31
+    d = rng.uniform(0.1, 10.0, n)
+    w = WeightMatrix.diagonal(d)
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    vh, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v = vh / np.sqrt(d)[:, None]  # V^T M V = I
+    sigma = np.array([1.0, 0.5] + [0.25] * (n - 4) + [0.1, 0.05])
+    a = (u * sigma) @ (d[:, None] * v).T  # A = U S V^T M
+    b = rng.standard_normal(m)
+    fk = wsvd(a, w, start=b)
+    fd = wsvd(a, w)
+    # partial: about one triplet per distinct value, each a dense value
+    assert fk.krylov_steps is not None and fk.rank < fd.rank == n
+    assert all(np.min(np.abs(fd.sigma - s)) <= 1e-12 for s in fk.sigma)
+    x = min_m_norm_ls(fd, b)
+    assert np.linalg.norm(min_m_norm_ls(fk, b) - x) <= 1e-10 * np.linalg.norm(x)
+    for lam in (1e-6, 1e-3, 1.0):
+        x = tikhonov_wsvd(fd, b, lam)
+        assert np.linalg.norm(tikhonov_wsvd(fk, b, lam) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_krylov_route_rejects_full_matrices():
+    rng = np.random.default_rng(24)
+    with pytest.raises(ValueError, match="full_matrices"):
+        wsvd(rng.standard_normal((6, 5)), WeightMatrix.identity(5),
+             full_matrices=True, start=rng.standard_normal(6))

@@ -45,6 +45,14 @@ def test_stop_dp_never():
     assert not degenerate
 
 
+def test_stop_dp_ignores_entries_after_a_non_finite_one():
+    # the crossing at k = 2 follows a NaN, so it is not trusted
+    assert stop_dp([1.0, np.nan, 1e-3], 1.01, 0.01) == (None, False)
+    assert stop_dp([np.inf, 1e-3], 1.01, 0.01) == (None, False)
+    # a crossing inside the leading finite run still counts
+    assert stop_dp([1.0, 1e-3, np.nan], 1.01, 0.01) == (1, False)
+
+
 def test_stop_oracle_argmin_first():
     assert stop_oracle(np.array([0.5, 0.2, 0.1, 0.3])) == 3
     assert stop_oracle(np.array([0.5, 0.2, 0.2, 0.3])) == 2
