@@ -8,7 +8,7 @@ respect to that geometry unless stated otherwise.
 
 from .bidiag import (ApproxTriplet, BidiagState, approx_triplets,
                      project_bidiagonal, wgkb_init, wgkb_step)
-from .decomposition import (WsvdFactorization, low_rank_approx, min_m_norm_ls,
+from .decomposition import (WsvdFactorization, covers, low_rank_approx, min_m_norm_ls,
                             tikhonov_wsvd, twsvd_solution,
                             weighted_operator_norm, wsvd)
 from .problems import (NoisyData, TestProblem, add_noise, build_problem,
@@ -38,6 +38,7 @@ __all__ = [
     "approx_triplets",
     "build_problem",
     "condition_estimate",
+    "covers",
     "kernel_eval",
     "lcurve_curvature",
     "lcurve_points",

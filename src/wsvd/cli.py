@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bidiag import approx_triplets, wgkb_init, wgkb_step
-from .decomposition import wsvd
+from .decomposition import covers, wsvd
 from .problems import (PROBLEM_NAMES, add_noise, build_problem, load_problem,
                        save_problem)
 from .regularization import (DEFAULT_TAU, RULES, StoppingRule, lcurve_curvature,
@@ -343,21 +343,18 @@ def cmd_sweep(args):
     if args.epsilon is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-    # The spectral rows of a pair share one factorization, from the Krylov
-    # route when it terminates for that b.  A dense one does not depend on
-    # b, so the first fallback is kept for every later pair.
-    dense = None
-    dense_lock = threading.Lock()
+    # The spectral rows of a pair share one factorization.  The sweep keeps
+    # the last one it made and reuses it for every pair whose b it covers (a
+    # dense one covers every b); any other pair factors from its own b.
+    last = None
+    lock = threading.Lock()
 
     def factor(noisy):
-        nonlocal dense
-        with dense_lock:
-            if dense is not None:
-                return dense
-            fact = wsvd(problem.a, problem.weight, start=noisy.b)
-            if fact.krylov_steps is None:
-                dense = fact
-            return fact
+        nonlocal last
+        with lock:
+            if last is None or not covers(last, problem.a, noisy.b):
+                last = wsvd(problem.a, problem.weight, start=noisy.b)
+            return last
 
     def pair(epsilon, seed):
         noisy = add_noise(problem, epsilon, seed)

@@ -24,13 +24,25 @@ normalized projection of b onto its singular space; rounding may add
 further triplets of that value which b excites only at rounding level),
 so the truncation index of twsvd counts those values and matches the
 dense index unless singular values repeat.  It does not reconstruct A.
+
+A Krylov factorization also serves every other right-hand side that its
+space captures.  covers(fact, a, b) certifies this with the test the
+recursion applies to a new alpha: with r = b - U U^T b and s the part of
+M^{-1} A^T r that is M-orthogonal to V, it accepts b when r = 0 or
+||s||_M <= BREAK_TOL * sigma_1 * ||r||_2.  Continuing the recursion from
+b's remainder would then stop at once, so the Tikhonov, minimum-M-norm and
+twsvd solutions for b equal the dense ones as closely as those of the
+start do: either route fixes a triplet only to about eps * sigma_1, so a
+k-term expansion agrees to about eps * sigma_1 / sigma_k relative.  A
+dense factorization covers every b.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import _lifted_svd, wgkb_init, wgkb_step
+from .bidiag import (BREAK_TOL, _lifted_svd, _reorth_left, _reorth_right, wgkb_init,
+                     wgkb_step)
 from .weights import WeightMatrix
 
 # Steps the Krylov route takes before it gives up and runs the dense route.
@@ -135,7 +147,8 @@ def wsvd(a, weight, full_matrices=False, start=None):
     start : (m,) array, optional
         Try the Krylov route from this vector first (see the module
         docstring); the result is then partial, exact for solutions with
-        this right-hand side.  Not allowed with full_matrices.
+        this right-hand side and with every other one that covers(fact, a,
+        b) certifies.  Not allowed with full_matrices.
 
     Returns
     -------
@@ -156,6 +169,32 @@ def wsvd(a, weight, full_matrices=False, start=None):
     u, v = _fix_signs(uh, v, coupled=min(m, n))
     rank = _rank(s, a.shape)
     return WsvdFactorization(u=u, sigma=s[:rank].copy(), v=v, rank=rank, weight=weight)
+
+
+def covers(fact, a, b):
+    """Whether fact gives the solutions for right-hand side b that a
+    factorization of a started from b would give.
+
+    A dense factorization covers every b.  A Krylov one covers b when b's
+    remainder outside the span of u passes the recursion's breakdown test
+    (see the module docstring); the check costs one A^T product and
+    O((m + n) k).  Raises ValueError when a or b does not fit fact or b has
+    non-finite entries.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b, dtype=float)
+    m, n = fact.u.shape[0], fact.v.shape[0]
+    if a.shape != (m, n):
+        raise ValueError(f"matrix has shape {a.shape}, factorization is of {m}x{n}")
+    if b.shape != (m,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has non-finite entries")
+    if fact.krylov_steps is None:
+        return True
+    r = _reorth_left(b, fact.u)  # r = 0 gives s = 0 and passes
+    s = _reorth_right(fact.weight.solve(a.T @ r), fact.v, fact.weight)
+    return bool(fact.weight.norm(s) <= BREAK_TOL * fact.sigma[0] * np.linalg.norm(r))
 
 
 def weighted_operator_norm(a, weight):

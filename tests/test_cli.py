@@ -1,10 +1,11 @@
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsvd import (add_noise, build_problem, decomposition, load_problem, stop_dp,
+from wsvd import (add_noise, build_problem, cli, decomposition, load_problem, stop_dp,
                   stop_lcurve, stop_oracle, tikhonov_opt, twsvd_solution)
 from wsvd.cli import ExperimentConfig, _error_status, main
 
@@ -168,14 +169,14 @@ def dense_spectral_rows(problem, fact, noisy, tau=1.01):
     return out
 
 
-def test_spectral_sweep_rows_match_dense(tmp_path, capsys, monkeypatch):
-    attempts = count_krylov_attempts(monkeypatch)
+def check_spectral_sweep_rows(tmp_path, capsys):
+    """Run a 2 x 2 spectral shaw sweep and match every row against the
+    dense factorization."""
     rc = main(["sweep", "--problem", "shaw", *SMALL, "--epsilon", "1e-2", "1e-3",
                "--seed", "0", "1", "--method", "twsvd", "tikh-opt",
                "--rule", "dp", "lc", "oracle", "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
-    assert len(attempts) == 4  # one factorization per (epsilon, seed) pair
     rows = read_csv(tmp_path / "sweep_shaw.csv")
     assert len(rows) == 4 * 4 and all(r["status"] == "ok" for r in rows)
     problem = build_problem("shaw", 120, 101)
@@ -189,6 +190,35 @@ def test_spectral_sweep_rows_match_dense(tmp_path, capsys, monkeypatch):
             for key, (k, err) in ref.items():
                 assert got[key][0] == k, key
                 assert abs(got[key][1] - err) <= 1e-10 * err, key
+
+
+def test_spectral_sweep_rows_match_dense(tmp_path, capsys, monkeypatch):
+    attempts = count_krylov_attempts(monkeypatch)
+    check_spectral_sweep_rows(tmp_path, capsys)
+    assert len(attempts) == 1  # the first pair's factorization covers the rest
+
+
+def test_spectral_sweep_factors_each_uncovered_pair(tmp_path, capsys, monkeypatch):
+    # a Krylov factorization that covers no other b: every pair factors
+    # from its own b, with the same rows
+    attempts = count_krylov_attempts(monkeypatch)
+    monkeypatch.setattr(cli, "covers", lambda fact, a, b: fact.krylov_steps is None)
+    check_spectral_sweep_rows(tmp_path, capsys)
+    assert len(attempts) == 4
+
+
+@pytest.mark.parametrize("name", ["shaw", "expst"])
+def test_spectral_sweep_factors_once(tmp_path, capsys, monkeypatch, name):
+    # the default six noise levels x three seeds share one factorization
+    attempts = count_krylov_attempts(monkeypatch)
+    rc = main(["sweep", "--problem", name, *SMALL, "--seed", "0", "1", "2",
+               "--method", "twsvd", "tikh-opt", "--rule", "oracle",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    assert len(attempts) == 1
+    rows = read_csv(tmp_path / f"sweep_{name}.csv")
+    assert len(rows) == 6 * 3 * 2 and all(r["status"] == "ok" for r in rows)
 
 
 @pytest.mark.parametrize("jobs", ["1", "4"])
@@ -307,7 +337,7 @@ def test_wsvd_dump(tmp_path, capsys):
     sig = read_csv(f"{outdir}/sigma.csv")
     vals = [float(r["sigma"]) for r in sig]
     assert vals == sorted(vals, reverse=True)
-    raw = open(f"{outdir}/U", "rb").read()
+    raw = Path(outdir, "U").read_bytes()
     dims = np.frombuffer(raw[:16], dtype="<i8")
     u = np.frombuffer(raw[16:], dtype="<f8").reshape(dims)
     assert np.allclose(u.T @ u, np.eye(dims[1]), atol=1e-10)

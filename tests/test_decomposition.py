@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, add_noise, build_problem, low_rank_approx,
+from wsvd import (WeightMatrix, add_noise, build_problem, covers, low_rank_approx,
                   min_m_norm_ls, tikhonov_wsvd, twsvd_solution,
                   weighted_operator_norm, wsvd)
 
@@ -259,7 +259,9 @@ def test_krylov_route_start_orthogonal_to_range_falls_back():
     assert f.krylov_steps is None and f.rank == 1
 
 
-def test_krylov_route_with_a_repeated_singular_value():
+def repeated_value_problem():
+    """A 40 x 31 matrix whose value 0.25 has multiplicity 27, its weight, and
+    a random b; the rng is returned for further draws."""
     rng = np.random.default_rng(23)
     m, n = 40, 31
     d = rng.uniform(0.1, 10.0, n)
@@ -269,7 +271,12 @@ def test_krylov_route_with_a_repeated_singular_value():
     v = vh / np.sqrt(d)[:, None]  # V^T M V = I
     sigma = np.array([1.0, 0.5] + [0.25] * (n - 4) + [0.1, 0.05])
     a = (u * sigma) @ (d[:, None] * v).T  # A = U S V^T M
-    b = rng.standard_normal(m)
+    return a, w, rng.standard_normal(m), rng
+
+
+def test_krylov_route_with_a_repeated_singular_value():
+    a, w, b, _ = repeated_value_problem()
+    n = a.shape[1]
     fk = wsvd(a, w, start=b)
     fd = wsvd(a, w)
     # partial: about one triplet per distinct value, each a dense value
@@ -287,3 +294,64 @@ def test_krylov_route_rejects_full_matrices():
     with pytest.raises(ValueError, match="full_matrices"):
         wsvd(rng.standard_normal((6, 5)), WeightMatrix.identity(5),
              full_matrices=True, start=rng.standard_normal(6))
+
+
+# -- coverage: which right-hand sides a factorization serves ------------------
+
+def rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["shaw", "expst"])
+def test_krylov_factorization_covers_a_noise_sweep(name):
+    problem = build_problem(name, 600, 501)
+    a, w = problem.a, problem.weight
+    fk = wsvd(a, w, start=add_noise(problem, 1e-3, 0).b)
+    fd = wsvd(a, w)
+    assert fk.krylov_steps is not None and fk.rank == fd.rank
+    sig = fd.sigma
+    for eps in (1e-1, 1e-2, 1e-3):
+        for seed in (0, 1, 2):
+            b = add_noise(problem, eps, seed).b
+            assert covers(fk, a, b)
+            for lam in (1e-3, 1e-2, 1.0):
+                assert rel(tikhonov_wsvd(fk, b, lam), tikhonov_wsvd(fd, b, lam)) <= 1e-10
+            # either route fixes a triplet only to about eps * sigma_1, so a
+            # k-term expansion is determined to about eps * sigma_1 / sigma_k
+            # (the start b itself agrees no better): 1e-12 at k = 1, and the
+            # min-M-norm solution is the expansion at k = rank
+            for k in range(1, fd.rank + 1):
+                bound = 1e-12 * sig[0] / sig[k - 1]
+                assert rel(twsvd_solution(fk, b, k), twsvd_solution(fd, b, k)) <= bound
+            assert rel(min_m_norm_ls(fk, b), min_m_norm_ls(fd, b)) <= 1e-12 * sig[0] / sig[-1]
+
+
+def test_partial_factorization_covers_its_own_b_only():
+    a, w, b, rng = repeated_value_problem()
+    fk = wsvd(a, w, start=b)
+    other = rng.standard_normal(a.shape[0])
+    assert covers(fk, a, b)
+    assert covers(fk, a, np.zeros_like(b))
+    assert not covers(fk, a, other)
+    # reusing it for the other b would be far off
+    x = tikhonov_wsvd(wsvd(a, w), other, 1e-3)
+    assert rel(tikhonov_wsvd(fk, other, 1e-3), x) > 0.5
+
+
+def test_dense_factorization_covers_every_b():
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((8, 6))
+    fd = wsvd(a, random_weight(rng, 6))
+    assert all(covers(fd, a, rng.standard_normal(8)) for _ in range(5))
+
+
+def test_covers_validates_its_input():
+    a, w, b, _ = repeated_value_problem()
+    for fact in (wsvd(a, w, start=b), wsvd(a, w)):
+        for bad in (np.ones(a.shape[0] + 1), np.ones((a.shape[0], 1)),
+                    np.where(np.arange(a.shape[0]) == 3, np.nan, b),
+                    np.where(np.arange(a.shape[0]) == 3, np.inf, b)):
+            with pytest.raises(ValueError):
+                covers(fact, a, bad)
+        with pytest.raises(ValueError):
+            covers(fact, a[:, :-1], b)
