@@ -16,9 +16,9 @@ from .problems import (NoisyData, TestProblem, add_noise, build_problem,
                        save_problem, simpson_weights, true_solution)
 from .regularization import (LCurveStop, RunRecord, StoppingRule,
                              lcurve_curvature, lcurve_points, lsqr_baseline,
-                             spr_solve, stop_dp, stop_lcurve, stop_oracle,
-                             tikhonov_opt)
-from .solver import WlsqrState, wlsqr_init, wlsqr_run, wlsqr_step
+                             select, spr_solve, stop_dp, stop_lcurve, stop_oracle,
+                             tikhonov_opt, twsvd_record)
+from .solver import WlsqrState, wlsqr_init, wlsqr_iterate, wlsqr_run, wlsqr_step
 from .weights import WeightMatrix
 
 __version__ = "0.1.0"
@@ -48,6 +48,7 @@ __all__ = [
     "min_m_norm_ls",
     "project_bidiagonal",
     "save_problem",
+    "select",
     "simpson_weights",
     "spr_solve",
     "stop_dp",
@@ -56,11 +57,13 @@ __all__ = [
     "tikhonov_opt",
     "tikhonov_wsvd",
     "true_solution",
+    "twsvd_record",
     "twsvd_solution",
     "weighted_operator_norm",
     "wgkb_init",
     "wgkb_step",
     "wlsqr_init",
+    "wlsqr_iterate",
     "wlsqr_run",
     "wlsqr_step",
     "wsvd",

@@ -9,10 +9,10 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
 
 import argparse
-import concurrent.futures
+import itertools
 import os
 import sys
-import threading
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,8 +22,8 @@ from .decomposition import covers, wsvd
 from .problems import (PROBLEM_NAMES, add_noise, build_problem, load_problem,
                        save_problem)
 from .regularization import (DEFAULT_TAU, RULES, StoppingRule, lcurve_curvature,
-                             spr_solve, stop_dp, stop_lcurve, stop_oracle,
-                             tikhonov_opt)
+                             select, spr_solve, stop_lcurve, tikhonov_opt,
+                             twsvd_record)
 from .solver import wlsqr_run
 from .weights import WeightMatrix
 
@@ -58,7 +58,6 @@ class ExperimentConfig:
     max_iter: int | None = None
     reorth: bool = True
     paper_h: bool = False
-    jobs: int = 1
     out: str = "."
 
     def to_text(self):
@@ -97,8 +96,6 @@ class ExperimentConfig:
                 kwargs[f.name] = float(v)
             elif f.name in ("reorth", "paper_h"):
                 kwargs[f.name] = v == "True"
-            elif f.name in ("jobs",):
-                kwargs[f.name] = int(v)
             else:
                 kwargs[f.name] = v
         return cls(**kwargs)
@@ -119,8 +116,6 @@ def _build_parser():
     common.add_argument("--method", choices=METHODS, nargs="+", default=None)
     common.add_argument("--reorth", choices=("on", "off"), default="on")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep cells")
     common.add_argument("--paper-h", action="store_true",
                         help="use the verbatim printed quadrature constant (t2-t1)/n")
 
@@ -161,7 +156,6 @@ def _config_from_args(args):
         max_iter=args.max_iter,
         reorth=args.reorth == "on",
         paper_h=args.paper_h,
-        jobs=args.jobs,
         out=args.out,
     )
 
@@ -196,53 +190,30 @@ def _write_csv(path, header, rows):
 
 # -- histories shared by solve and sweep -------------------------------------
 
-def _iterative_histories(problem, noisy, method, cfg):
-    """Run wlsqr or the unweighted baseline once, returning per-iteration
-    (residual_norms, solution_m_norms, rel_errors) plus the initial residual."""
+def _rules(cfg, problem, noisy):
+    """The stopping rules of cfg for one noisy instance.  StoppingRule raises
+    ValueError for a rule it cannot apply (a tau <= 1 or a noise-free dp, an
+    oracle without x_true), which exits 1 before any row is written."""
+    noise = float(np.linalg.norm(noisy.e))
+    return [StoppingRule(kind, tau=cfg.tau, noise_norm=noise, x_true=problem.x_true)
+            for kind in cfg.rules]
+
+
+def _history(method, rule, problem, noisy, cfg, fact):
+    """The RunRecord of a wlsqr, lsqr or twsvd run under rule; twsvd reads
+    the factorization fact."""
+    if method == "twsvd":
+        return select(rule, twsvd_record(fact, noisy.b, problem.x_true, cfg.max_iter))
     weight = problem.weight if method == "wlsqr" else WeightMatrix.identity(problem.n)
-    nx = np.linalg.norm(problem.x_true)
-    errs = []
-
-    def cb(k, x, res, mnorm):
-        errs.append(float(np.linalg.norm(x - problem.x_true) / nx))
-        return False
-
-    state = wlsqr_run(problem.a, weight, noisy.b, max_iter=cfg.max_iter,
-                      reorth=cfg.reorth, callback=cb)
-    return (np.asarray(state.residual_norms), np.asarray(state.solution_m_norms),
-            np.asarray(errs), state.initial_residual)
+    return spr_solve(problem.a, weight, noisy.b, rule, max_iter=cfg.max_iter,
+                     reorth=cfg.reorth, x_true=problem.x_true)[1]
 
 
-def _twsvd_histories(problem, noisy, fact, cfg):
-    """Residual, M-norm, and error histories of the truncated expansions,
-    plus the initial residual."""
-    kmax = fact.rank if cfg.max_iter is None else min(fact.rank, cfg.max_iter)
-    ub = fact.u[:, :kmax].T @ noisy.b
-    coef = ub / fact.sigma[:kmax]
-    res = np.sqrt(np.maximum(np.linalg.norm(noisy.b) ** 2 - np.cumsum(ub**2), 0.0))
-    mnorms = np.sqrt(np.cumsum(coef**2))
-    nx = np.linalg.norm(problem.x_true)
-    errs = np.empty(kmax)
-    x = np.zeros(problem.n)
-    for k in range(kmax):
-        x = x + coef[k] * fact.v[:, k]
-        errs[k] = np.linalg.norm(x - problem.x_true) / nx
-    return res, mnorms, errs, float(np.linalg.norm(noisy.b))
-
-
-def _select(rule_kind, cfg, noisy, res, mnorms, errs, initial_residual):
-    """Apply a stopping rule to recorded histories; returns the 1-based index."""
-    if rule_kind == "dp":
-        noise = float(np.linalg.norm(noisy.e))
-        if noise <= 0:
-            raise UsageError("dp rule needs noisy data (epsilon > 0)")
-        k, _ = stop_dp(np.concatenate([[initial_residual], res]), cfg.tau, noise)
-        return k if k is not None else len(res)
-    if rule_kind == "lc":
-        return stop_lcurve(res, mnorms).index
-    if rule_kind == "oracle":
-        return stop_oracle(errs)
-    return len(res)
+def _stop_error(record):
+    """rel_err of the chosen iterate; nan at index 0, where no iterate ran.
+    A built or loaded problem always carries x_true, so rel_errors is set."""
+    k = record.stop_index
+    return float(record.rel_errors[k - 1]) if k >= 1 else float("nan")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -273,40 +244,24 @@ def cmd_solve(args):
     epsilon = _single(cfg.epsilons, "--epsilon")
     seed = _single(cfg.seeds, "--seed")
     problem, noisy = _load_or_build(cfg, epsilon, seed, getattr(args, "indir", None))
-    if rule_kind == "oracle" and problem.x_true is None:
-        raise UsageError("oracle rule needs x_true in the problem data")
+    (rule,) = _rules(cfg, problem, noisy)
 
-    import time
     t0 = time.perf_counter()
-    if method in ("wlsqr", "lsqr"):
-        weight = problem.weight if method == "wlsqr" else WeightMatrix.identity(problem.n)
-        rule = _make_rule(rule_kind, cfg, noisy, problem)
-        x, record = spr_solve(problem.a, weight, noisy.b, rule,
-                              max_iter=cfg.max_iter, reorth=cfg.reorth,
-                              x_true=problem.x_true)
-        rows = [
-            (str(k), _fmt(record.residual_norms[k - 1]),
-             _fmt(record.solution_m_norms[k - 1]),
-             _fmt(record.rel_errors[k - 1]) if record.rel_errors is not None else "")
-            for k in record.ks
-        ]
-        stop_k = record.stop_index
-        rel_err = (record.rel_errors[stop_k - 1]
-                   if record.rel_errors is not None and stop_k >= 1 else float("nan"))
-    elif method == "twsvd":
+    fact = None
+    if method in ("twsvd", "tikh-opt"):
         fact = wsvd(problem.a, problem.weight, start=noisy.b)
-        res, mnorms, errs, b0 = _twsvd_histories(problem, noisy, fact, cfg)
-        stop_k = _select(rule_kind, cfg, noisy, res, mnorms, errs, b0)
-        rel_err = errs[stop_k - 1]
-        rows = [(str(k + 1), _fmt(res[k]), _fmt(mnorms[k]), _fmt(errs[k]))
-                for k in range(len(res))]
-    else:  # tikh-opt
-        fact = wsvd(problem.a, problem.weight, start=noisy.b)
-        lam, x = tikhonov_opt(fact, noisy.b, problem.x_true)
+    if method == "tikh-opt":
+        _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
         rel_err = float(np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true))
         rows = [("0", _fmt(np.linalg.norm(problem.a @ x - noisy.b)),
                  _fmt(problem.weight.norm(x)), _fmt(rel_err))]
         stop_k = 0
+    else:
+        record = _history(method, rule, problem, noisy, cfg, fact)
+        rows = [(str(k), _fmt(record.residual_norms[k - 1]),
+                 _fmt(record.solution_m_norms[k - 1]), _fmt(record.rel_errors[k - 1]))
+                for k in record.ks]
+        stop_k, rel_err = record.stop_index, _stop_error(record)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     tag = f"{problem.name}_{method}_{rule_kind}_eps{epsilon:g}_seed{seed}"
@@ -318,17 +273,6 @@ def cmd_solve(args):
     print("problem,rule,method,stop_k,rel_err,wall_ms")
     print(summary)
     return 0
-
-
-def _make_rule(rule_kind, cfg, noisy, problem):
-    if rule_kind == "dp":
-        noise = float(np.linalg.norm(noisy.e))
-        if noise <= 0:
-            raise UsageError("dp rule needs noisy data (epsilon > 0)")
-        return StoppingRule("dp", tau=cfg.tau, noise_norm=noise)
-    if rule_kind == "oracle":
-        return StoppingRule("oracle", x_true=problem.x_true)
-    return StoppingRule(rule_kind)
 
 
 def _error_status(exc):
@@ -347,50 +291,30 @@ def cmd_sweep(args):
     # the last one it made and reuses it for every pair whose b it covers (a
     # dense one covers every b); any other pair factors from its own b.
     last = None
-    lock = threading.Lock()
-
-    def factor(noisy):
-        nonlocal last
-        with lock:
-            if last is None or not covers(last, problem.a, noisy.b):
-                last = wsvd(problem.a, problem.weight, start=noisy.b)
-            return last
-
-    def pair(epsilon, seed):
+    rows = []
+    for epsilon, seed in itertools.product(cfg.epsilons, cfg.seeds):
         noisy = add_noise(problem, epsilon, seed)
+        rules = _rules(cfg, problem, noisy)
         fact = None
-        out = []
         for method in cfg.methods:
             try:
                 if method in ("tikh-opt", "twsvd") and fact is None:
-                    fact = factor(noisy)
+                    if last is None or not covers(last, problem.a, noisy.b):
+                        last = wsvd(problem.a, problem.weight, start=noisy.b)
+                    fact = last
                 if method == "tikh-opt":
                     _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
                     err = np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true)
-                    out.append((epsilon, seed, method, "oracle", 0, float(err), "ok"))
+                    rows.append((epsilon, seed, method, "oracle", 0, float(err), "ok"))
                     continue
-                if method == "twsvd":
-                    res, mnorms, errs, b0 = _twsvd_histories(problem, noisy, fact, cfg)
-                else:
-                    res, mnorms, errs, b0 = _iterative_histories(problem, noisy, method, cfg)
-                for rule_kind in cfg.rules:
-                    k = _select(rule_kind, cfg, noisy, res, mnorms, errs, b0)
-                    out.append((epsilon, seed, method, rule_kind, k, float(errs[k - 1]), "ok"))
-            except UsageError:
-                raise
+                # every rule selects from the one maxiter history of the cell
+                record = _history(method, StoppingRule("maxiter"), problem, noisy, cfg, fact)
+                for rule in rules:
+                    chosen = select(rule, record)
+                    rows.append((epsilon, seed, method, rule.kind, chosen.stop_index,
+                                 _stop_error(chosen), "ok"))
             except Exception as exc:  # noqa: BLE001  a failed cell must not kill the sweep
-                out.append((epsilon, seed, method, "-", 0, float("nan"), _error_status(exc)))
-        return out
-
-    pairs = [(e, s) for e in cfg.epsilons for s in cfg.seeds]
-    rows = []
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for part in pool.map(lambda c: pair(*c), pairs):
-                rows.extend(part)
-    else:
-        for c in pairs:
-            rows.extend(pair(*c))
+                rows.append((epsilon, seed, method, "-", 0, float("nan"), _error_status(exc)))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     text_rows = [

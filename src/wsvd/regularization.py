@@ -8,13 +8,13 @@ and 'maxiter' simply the last computed iterate.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .decomposition import tikhonov_wsvd
-from .solver import wlsqr_run
+from .solver import wlsqr_iterate, wlsqr_run
 from .weights import WeightMatrix
 
 RULES = ("dp", "lc", "oracle", "maxiter")
@@ -52,11 +52,15 @@ class StoppingRule:
 class RunRecord:
     """History of one regularized run and the chosen index.
 
-    ks[i] = i + 1; residual_norms[i] = ||A x_{i+1} - b||_2 as tracked by the
-    recurrence; rel_errors is present when x_true was known.  stop_index is
-    the 1-based iteration whose iterate was returned.  satisfied is False
-    when a dp rule never crossed or an lc rule found no corner; degenerate
-    marks the dp threshold already holding at x_0.
+    The one history type of the package: spr_solve returns it for a Krylov
+    run and twsvd_record for the truncated WSVD expansions, and select
+    applies any stopping rule to it.  ks[i] = i + 1; residual_norms[i] =
+    ||A x_{i+1} - b||_2 as tracked by the recurrence (or the expansion);
+    rel_errors is present when x_true was known.  stop_index is the 1-based
+    index the rule chose (0 for an empty history, where x = 0), and rule
+    names that rule.  satisfied is False when a dp rule never crossed or an
+    lc rule found no corner; degenerate marks the dp threshold already
+    holding at x_0.
     """
 
     ks: np.ndarray
@@ -182,16 +186,77 @@ def stop_oracle(rel_errors):
     return int(np.argmin(errs)) + 1
 
 
+def select(rule, record):
+    """The record with stop_index, rule, satisfied and degenerate set by rule.
+
+    The history is left as it is; rule is applied to it as a whole.  dp picks
+    the first residual crossing, or the last index unsatisfied when nothing
+    crosses (degenerate when the threshold holds at x_0, index 1); lc picks
+    the L-curve corner (unsatisfied when there is none); oracle the error
+    minimum, which needs rel_errors; maxiter the last index.  An empty
+    history (b orthogonal to the range of A, so x_0 = 0 is the solution)
+    gives index 0, satisfied.
+    """
+    steps = len(record.residual_norms)
+    satisfied, degenerate = True, False
+    if rule.kind == "dp":
+        k, degenerate = stop_dp(np.concatenate([[record.initial_residual],
+                                                record.residual_norms]),
+                                rule.tau, rule.noise_norm)
+        satisfied = k is not None or steps == 0
+        index = steps if k is None else min(k, steps)
+    elif steps == 0 or rule.kind == "maxiter":
+        index = steps
+    elif rule.kind == "lc":
+        corner = stop_lcurve(record.residual_norms, record.solution_m_norms)
+        index, satisfied = corner.index, not corner.no_corner
+    else:
+        if record.rel_errors is None:
+            raise ValueError("oracle selection needs x_true")
+        index = stop_oracle(record.rel_errors)
+    return replace(record, stop_index=index, rule=rule.kind,
+                   satisfied=satisfied, degenerate=degenerate)
+
+
+def twsvd_record(fact, b, x_true=None, max_iter=None):
+    """History of the truncated WSVD expansions x_k = sum_{i<=k} (u_i^T b /
+    sigma_i) v_i for k = 1 .. min(rank, max_iter), with the maxiter index.
+
+    Residual norms come from the expansion, ||b||^2 - sum_{i<=k} (u_i^T b)^2,
+    M-norms from the coefficients, and rel_errors (when x_true is given)
+    from the iterates themselves.
+    """
+    t0 = time.perf_counter()
+    b = np.asarray(b, dtype=float)
+    kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
+    ub = fact.u[:, :kmax].T @ b
+    coef = ub / fact.sigma[:kmax]
+    res = np.sqrt(np.maximum(np.linalg.norm(b) ** 2 - np.cumsum(ub**2), 0.0))
+    mnorms = np.sqrt(np.cumsum(coef**2))
+    errs = None
+    if x_true is not None:
+        nx = np.linalg.norm(x_true)
+        errs = np.empty(kmax)
+        x = np.zeros(fact.v.shape[0])
+        for k in range(kmax):
+            x = x + coef[k] * fact.v[:, k]
+            errs[k] = np.linalg.norm(x - x_true) / nx
+    return RunRecord(ks=np.arange(1, kmax + 1), residual_norms=res,
+                     solution_m_norms=mnorms, rel_errors=errs,
+                     initial_residual=float(np.linalg.norm(b)), stop_index=kmax,
+                     rule="maxiter", wall_ms=(time.perf_counter() - t0) * 1e3)
+
+
 def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
               keep_iterates=True):
     """Regularized solve of min ||A x - b||_2 by early-stopped iteration.
 
     Returns (x, RunRecord).  x_true (defaulting to rule.x_true) enables the
     rel_errors history.  The dp rule stops the iteration eagerly at the first
-    crossing; lc/oracle run to max_iter and select afterwards.  With
-    keep_iterates unset, a selected earlier iterate is recovered by replaying
-    the run up to the chosen index, which is bit-identical because the
-    recursion is deterministic.
+    crossing; the other rules run to max_iter, and select picks the index
+    from the history.  A selected earlier iterate is recovered from B_k by
+    wlsqr_iterate, so no iterate is stored and the solver runs once.
+    keep_iterates is accepted for compatibility and has no effect.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -203,60 +268,28 @@ def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
     t0 = time.perf_counter()
 
     errs = [] if x_true is not None else None
-    iterates = [] if keep_iterates else None
-    degenerate = False
-    satisfied = True
-    thr = None
-    if rule.kind == "dp":
-        thr = rule.tau * rule.noise_norm
-        degenerate = float(np.linalg.norm(b)) <= thr
+    thr = rule.tau * rule.noise_norm if rule.kind == "dp" else None
+    degenerate = thr is not None and float(np.linalg.norm(b)) <= thr
 
     def cb(k, x, res, mnorm):
-        if iterates is not None:
-            iterates.append(x)
         if errs is not None:
             errs.append(float(np.linalg.norm(x - x_true) / x_true_norm))
-        if rule.kind == "dp":
-            return degenerate or res <= thr
-        return False
+        return thr is not None and (degenerate or res <= thr)
 
     state = wlsqr_run(a, weight, b, max_iter=max_iter, reorth=reorth, callback=cb)
-
-    if state.k == 0:
-        # b orthogonal to the range of A; x = 0 is already the solution
-        stop_index = 0
-    elif rule.kind == "dp":
-        satisfied = degenerate or state.phibar <= thr
-        stop_index = state.k
-    elif rule.kind == "oracle":
-        stop_index = stop_oracle(errs)
-    elif rule.kind == "lc":
-        corner = stop_lcurve(state.residual_norms, state.solution_m_norms)
-        stop_index = corner.index
-        satisfied = not corner.no_corner
-    else:
-        stop_index = state.k
-
-    if stop_index in (0, state.k):
-        x = state.x
-    elif iterates is not None:
-        x = iterates[stop_index - 1]
-    else:
-        x = wlsqr_run(a, weight, b, max_iter=stop_index, reorth=reorth).x
-
-    record = RunRecord(
+    record = select(rule, RunRecord(
         ks=np.arange(1, state.k + 1),
         residual_norms=np.asarray(state.residual_norms),
         solution_m_norms=np.asarray(state.solution_m_norms),
         rel_errors=np.asarray(errs) if errs is not None else None,
         initial_residual=state.initial_residual,
-        stop_index=stop_index,
-        rule=rule.kind,
-        satisfied=satisfied,
-        degenerate=degenerate,
+        stop_index=state.k,
+        rule="maxiter",
         terminated_at=state.bidiag.termination_step if state.bidiag.terminated else None,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    ))
+    k = record.stop_index
+    x = state.x if k == state.k else wlsqr_iterate(state.bidiag, k)
+    record.wall_ms = (time.perf_counter() - t0) * 1e3
     return x, record
 
 

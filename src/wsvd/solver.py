@@ -61,6 +61,15 @@ def wlsqr_init(a, weight, b):
                       rhobar=bid.alphas[0], bidiag=bid)
 
 
+def _rotate(rhobar, phibar, beta, alpha):
+    """The Givens rotation that eliminates beta below rhobar in the projected
+    bidiagonal system; returns (rho, theta_next, phi, rhobar_next, phibar_next)."""
+    rho = float(np.hypot(rhobar, beta))
+    c = rhobar / rho
+    s = beta / rho
+    return rho, s * alpha, c * phibar, -c * alpha, s * phibar
+
+
 def wlsqr_step(state, a, weight, reorth=True):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
@@ -78,19 +87,11 @@ def wlsqr_step(state, a, weight, reorth=True):
     q = bid.Q
     q_next = q[:, i] if q.shape[1] > i else None
 
-    rho = float(np.hypot(state.rhobar, beta_next))
-    c = state.rhobar / rho
-    s = beta_next / rho
-    theta_next = s * alpha_next
-    rhobar_next = -c * alpha_next
-    phi = c * state.phibar
-    phibar_next = s * state.phibar
-
+    rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
+        state.rhobar, state.phibar, beta_next, alpha_next)
     state.x = state.x + (phi / rho) * state.w
     state.w = q_next - (theta_next / rho) * state.w if q_next is not None else None
-    state.phibar = phibar_next
-    state.rhobar = rhobar_next
-    state.residual_norms.append(phibar_next)
+    state.residual_norms.append(state.phibar)
     state.solution_m_norms.append(weight.norm(state.x))
     if bid.terminated:
         state.done = True
@@ -118,3 +119,27 @@ def wlsqr_run(a, weight, b, max_iter=None, reorth=True, callback=None):
         ):
             break
     return state
+
+
+def wlsqr_iterate(bidiag, k):
+    """The k-th iterate x_k = Q_k y_k, y_k = argmin ||B_k y - beta_1 e_1||_2,
+    recovered from a recursion that has run at least k steps.
+
+    The solver's own rotations reduce B_k to upper bidiagonal R_k, and back
+    substitution solves R_k y_k = (phi_1, ..., phi_k) (Paige and Saunders,
+    LSQR, 1982), so no earlier iterate needs to be stored or recomputed.
+    """
+    if not 1 <= k <= bidiag.k:
+        raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
+    alphas = bidiag.alphas
+    rhobar, phibar = alphas[0], bidiag.betas[0]
+    rho, theta, phi = np.empty(k), np.empty(k), np.empty(k)
+    for i in range(k):
+        alpha = alphas[i + 1] if len(alphas) > i + 1 else 0.0
+        rho[i], theta[i], phi[i], rhobar, phibar = _rotate(
+            rhobar, phibar, bidiag.betas[i + 1], alpha)
+    y = np.empty(k)
+    y[-1] = phi[-1] / rho[-1]
+    for i in range(k - 2, -1, -1):
+        y[i] = (phi[i] - theta[i] * y[i + 1]) / rho[i]
+    return bidiag.Q[:, :k] @ y

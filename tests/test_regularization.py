@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem,
-                  lcurve_curvature, lcurve_points, lsqr_baseline, spr_solve,
+                  lcurve_curvature, lcurve_points, lsqr_baseline, select, spr_solve,
                   stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
-                  tikhonov_wsvd, wlsqr_run, wsvd)
+                  tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_iterate,
+                  wlsqr_run, wsvd)
 
 
 @pytest.fixture(scope="module")
@@ -166,15 +167,106 @@ def test_spr_maxiter(shaw_small):
     assert record.stop_index == len(record.ks) == 9
 
 
-def test_spr_replay_matches_stored(shaw_small):
+def test_recovered_iterate_matches_callback(shaw_small):
+    # x_k = Q_k y_k from B_k agrees with the iterate the recurrence produced
     problem, noisy = shaw_small
-    rule = StoppingRule("oracle", x_true=problem.x_true)
-    x_kept, rec_kept = spr_solve(problem.a, problem.weight, noisy.b, rule,
-                                 max_iter=30)
-    x_replay, rec_replay = spr_solve(problem.a, problem.weight, noisy.b, rule,
-                                     max_iter=30, keep_iterates=False)
-    assert rec_kept.stop_index == rec_replay.stop_index
-    assert np.array_equal(x_kept, x_replay)
+    xs = []
+    state = wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=30,
+                      callback=lambda k, x, res, mnorm: xs.append(x))
+    assert state.k == len(xs) >= 15
+    for k, x in enumerate(xs, start=1):
+        got = wlsqr_iterate(state.bidiag, k)
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x), k
+    # and spr_solve returns it for an earlier selected index
+    x_sel, rec = spr_solve(problem.a, problem.weight, noisy.b,
+                           StoppingRule("oracle", x_true=problem.x_true), max_iter=30)
+    assert rec.stop_index < state.k
+    ref = xs[rec.stop_index - 1]
+    assert np.linalg.norm(x_sel - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_keep_iterates_is_a_no_op(shaw_small):
+    problem, noisy = shaw_small
+    rule = StoppingRule("lc")
+    x1, r1 = spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=30,
+                       x_true=problem.x_true)
+    x2, r2 = spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=30,
+                       x_true=problem.x_true, keep_iterates=False)
+    assert np.array_equal(x1, x2)
+    for name in ("ks", "residual_norms", "solution_m_norms", "rel_errors"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name))
+    assert (r1.stop_index, r1.satisfied, r1.degenerate, r1.terminated_at) == \
+        (r2.stop_index, r2.satisfied, r2.degenerate, r2.terminated_at)
+
+
+def _orthogonal_case():
+    # A maps onto span(e1); b along e2 is orthogonal to its range
+    a = np.zeros((6, 5))
+    a[0, 0] = 1.0
+    b = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    return a, WeightMatrix.identity(5), b, np.ones(5), 0.5, None
+
+
+@pytest.mark.parametrize("case", ["noisy", "dp-met-at-x0", "dp-never-crosses",
+                                  "b-orthogonal-to-range"])
+def test_select_on_maxiter_history_matches_spr_solve(shaw_small, case):
+    # the sweep selects every rule from one maxiter history; that must pick
+    # what a solve under the rule itself picks
+    problem, noisy = shaw_small
+    noise = float(np.linalg.norm(noisy.e))
+    a, weight, b, x_true, max_iter = (problem.a, problem.weight, noisy.b,
+                                      problem.x_true, 30)
+    if case == "dp-met-at-x0":
+        noise = 10 * float(np.linalg.norm(noisy.b))
+    elif case == "dp-never-crosses":
+        noise, max_iter = 1e-6 * noise, 8
+    elif case == "b-orthogonal-to-range":
+        a, weight, b, x_true, noise, max_iter = _orthogonal_case()
+    _, history = spr_solve(a, weight, b, StoppingRule("maxiter"), max_iter=max_iter,
+                           x_true=x_true)
+    for rule in (StoppingRule("dp", noise_norm=noise), StoppingRule("lc"),
+                 StoppingRule("oracle", x_true=x_true)):
+        chosen = select(rule, history)
+        _, direct = spr_solve(a, weight, b, rule, max_iter=max_iter, x_true=x_true)
+        assert chosen.rule == direct.rule == rule.kind
+        assert (chosen.stop_index, chosen.satisfied, chosen.degenerate) == \
+            (direct.stop_index, direct.satisfied, direct.degenerate), rule.kind
+    if case == "dp-met-at-x0":
+        assert select(StoppingRule("dp", noise_norm=noise), history).degenerate
+    elif case == "dp-never-crosses":
+        dp = select(StoppingRule("dp", noise_norm=noise), history)
+        assert dp.stop_index == max_iter and not dp.satisfied
+    elif case == "b-orthogonal-to-range":
+        assert len(history.ks) == 0
+        assert all(select(r, history).stop_index == 0
+                   for r in (StoppingRule("lc"), StoppingRule("maxiter")))
+
+
+def test_select_leaves_the_history_alone(shaw_small):
+    problem, noisy = shaw_small
+    _, history = spr_solve(problem.a, problem.weight, noisy.b, StoppingRule("maxiter"),
+                           max_iter=12)
+    chosen = select(StoppingRule("lc"), history)
+    assert history.rule == "maxiter" and history.stop_index == 12
+    assert chosen.residual_norms is history.residual_norms
+    with pytest.raises(ValueError, match="x_true"):
+        select(StoppingRule("oracle", x_true=problem.x_true), history)
+
+
+def test_twsvd_record_matches_the_expansions(shaw_small):
+    problem, noisy = shaw_small
+    fact = wsvd(problem.a, problem.weight)
+    rec = twsvd_record(fact, noisy.b, problem.x_true, max_iter=15)
+    nx = np.linalg.norm(problem.x_true)
+    for k in rec.ks:
+        x = twsvd_solution(fact, noisy.b, k)
+        res = np.linalg.norm(problem.a @ x - noisy.b)
+        assert rec.residual_norms[k - 1] == pytest.approx(res, rel=1e-8)
+        assert rec.solution_m_norms[k - 1] == pytest.approx(problem.weight.norm(x), rel=1e-10)
+        assert rec.rel_errors[k - 1] == pytest.approx(np.linalg.norm(x - problem.x_true) / nx,
+                                                      rel=1e-10)
+    assert (rec.stop_index, rec.rule, len(rec.ks)) == (15, "maxiter", 15)
+    assert twsvd_record(fact, noisy.b).rel_errors is None
 
 
 def test_spr_deterministic(shaw_small):
