@@ -234,19 +234,21 @@ def test_spectral_sweep_factors_once(tmp_path, capsys, monkeypatch, name):
     assert len(rows) == 6 * 3 * 2 and all(r["status"] == "ok" for r in rows)
 
 
-def test_spectral_sweep_falls_back_to_dense_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("n_seeds", ["1", "4"])
+def test_spectral_sweep_falls_back_to_dense_once(tmp_path, capsys, monkeypatch, n_seeds):
     # phillips never terminates within the step cap; the dense factorization
-    # of the first fallback serves every later pair
+    # of the first fallback serves every later pair, however many there are
     attempts = count_krylov_attempts(monkeypatch)
+    seeds = [str(s) for s in range(int(n_seeds))]
     rc = main(["sweep", "--problem", "phillips", *SMALL,
-               "--epsilon", "1e-2", "1e-3", "1e-4", "--seed", "0", "1",
+               "--epsilon", "1e-2", "1e-3", "1e-4", "--seed", *seeds,
                "--method", "twsvd", "tikh-opt", "--rule", "oracle",
                "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
     assert len(attempts) == 1
     rows = read_csv(tmp_path / "sweep_phillips.csv")
-    assert len(rows) == 6 * 2 and all(r["status"] == "ok" for r in rows)
+    assert len(rows) == 3 * len(seeds) * 2 and all(r["status"] == "ok" for r in rows)
 
 
 def test_sweep_failed_cell_keeps_its_message(tmp_path, capsys):
