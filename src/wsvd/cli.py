@@ -383,8 +383,8 @@ def cmd_wsvd(args):
     os.makedirs(outdir, exist_ok=True)
     for fname, mat in (("U", fact.u), ("V", fact.v)):
         with open(os.path.join(outdir, fname), "wb") as fh:
-            fh.write(np.array(mat.shape, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+            np.array(mat.shape, dtype="<i8").tofile(fh)
+            np.ascontiguousarray(mat, dtype="<f8").tofile(fh)
     _write_csv(os.path.join(outdir, "sigma.csv"), "i,sigma",
                [(str(i + 1), _fmt(s)) for i, s in enumerate(fact.sigma)])
     with open(os.path.join(outdir, "meta"), "w") as fh:

@@ -80,7 +80,9 @@ def _checked_matrix(a, weight):
         raise ValueError("expected a 2-D matrix")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError("matrix must have at least one row and one column")
-    if not np.all(np.isfinite(a)):
+    # NaN propagates through min and max and an infinity is one of them, so
+    # this needs no bool array of A's size
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix entries must be finite")
     if a.shape[1] != weight.n:
         raise ValueError(

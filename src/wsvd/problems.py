@@ -30,6 +30,10 @@ DOMAINS = {
 
 PROBLEM_NAMES = tuple(TABLE_DIMS)
 
+# A is filled in row blocks of about this many bytes, so that every
+# temporary of the kernel formulas is block-sized and stays in cache
+_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class TestProblem:
@@ -79,29 +83,26 @@ def simpson_weights(n, t1, t2, paper_h=False):
 
 
 def _phillips_phi(x):
-    """phi(x) = 1 + cos(pi x / 3) for |x| < 3, else 0, written over x in place."""
+    """phi(x) = 1 + cos(pi x / 3) for |x| < 3, else 0, written over x in place.
+
+    cos is evaluated only on the support; the rest is zeroed at the end.
+    """
     inside = x < 3.0
     inside &= x > -3.0  # the same test as |x| < 3, without an |x| array
     x *= np.pi
     x /= 3.0
-    np.cos(x, out=x)
+    np.cos(x, out=x, where=inside)
     x += 1.0
     np.copyto(x, 0.0, where=~inside)
     return x
 
 
-def kernel_eval(name, s, t):
-    """K(s, t), vectorized with broadcasting over s and t.
+def _kernel_into(name, s, t, out):
+    """Write K(s, t) into out, whose shape is the broadcast shape of s and t.
 
-    The result is assembled in one output array by in-place ufuncs (shaw
-    needs a second one for its sinc factor), so no other temporary of the
-    broadcast shape is alive at once.
+    Only in-place ufuncs on out are used, so the temporaries are shaw's sinc
+    factor and bool masks, each the size of out.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if name not in TABLE_DIMS:
-        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
-    out = np.empty(np.broadcast_shapes(s.shape, t.shape))
     if name == "shaw":
         # (cos s + cos t)^2 sinc(u / pi)^2 with u = pi (sin s + sin t) and
         # numpy's sinc spelled out step for step (x = u / pi, y = pi x,
@@ -125,6 +126,20 @@ def kernel_eval(name, s, t):
     else:  # green: s (1 - t) for s < t, else t (1 - s)
         np.multiply(s, 1.0 - t, out=out)
         np.multiply(t, 1.0 - s, out=out, where=~(s < t))
+
+
+def kernel_eval(name, s, t):
+    """K(s, t), vectorized with broadcasting over s and t.
+
+    The result is one new array of the broadcast shape, filled in place; the
+    other temporaries (shaw's sinc factor, bool masks) are the same size.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if name not in TABLE_DIMS:
+        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    out = np.empty(np.broadcast_shapes(s.shape, t.shape))
+    _kernel_into(name, s, t, out)
     return out if out.ndim else out[()]
 
 
@@ -143,7 +158,12 @@ def true_solution(name, t):
 
 
 def build_problem(name, m=None, n=None, paper_h=False):
-    """Assemble a test problem; dimensions default to the reference table."""
+    """Assemble a test problem; dimensions default to the reference table.
+
+    A is allocated once and filled in place in row blocks of about
+    _BLOCK_BYTES, so the build holds A plus one block of temporaries; the
+    entries have the bits of kernel_eval over the whole grid, times w.
+    """
     if name not in TABLE_DIMS:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     dm, dn = TABLE_DIMS[name]
@@ -155,8 +175,12 @@ def build_problem(name, m=None, n=None, paper_h=False):
     t = np.linspace(t1, t2, n)
     s = np.linspace(t1, t2, m)
     w = simpson_weights(n, t1, t2, paper_h=paper_h)
-    a = kernel_eval(name, s[:, None], t[None, :])
-    a *= w
+    a = np.empty((m, n))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for j in range(0, m, rows):
+        block = a[j:j + rows]
+        _kernel_into(name, s[j:j + rows, None], t[None, :], block)
+        block *= w
     x_true = true_solution(name, t)
     return TestProblem(
         name=name,

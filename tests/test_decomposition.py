@@ -210,6 +210,24 @@ def test_wsvd_input_validation():
         wsvd(np.ones((2, 4)), w)  # dimension mismatch
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wsvd_rejects_a_non_finite_matrix_on_both_routes(bad):
+    rng = np.random.default_rng(26)
+    a = rng.standard_normal((7, 5))
+    a[4, 2] = bad
+    b = rng.standard_normal(7)
+    for start in (None, b):
+        with pytest.raises(ValueError, match="finite"):
+            wsvd(a, WeightMatrix.identity(5), start=start)
+
+
+def test_wsvd_accepts_finite_entries_near_overflow():
+    # a sum or a max - min of these entries overflows; the matrix is finite
+    a = np.array([[1e308, -1e308], [1e308, 1e308]])
+    f = wsvd(a, WeightMatrix.identity(2))
+    assert f.rank == 2 and np.all(np.isfinite(f.sigma))
+
+
 def test_solution_b_shape_validation():
     f = wsvd(np.eye(3), WeightMatrix.identity(3))
     with pytest.raises(ValueError):

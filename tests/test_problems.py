@@ -94,13 +94,24 @@ def _out_of_place_kernel(name, s, t):
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-@pytest.mark.parametrize("m,n", [(40, 31), (600, 501)])
-def test_assembly_bit_identical_to_out_of_place(name, m, n):
-    prob = build_problem(name, m, n)
+@pytest.mark.parametrize("m,n,paper_h", [
+    # A is filled in row blocks of 262144 // (8 n) rows: 65 at n = 501, so
+    # 600 and 131 end in a partial block and 1 and 3 are below one block;
+    # the table sizes end in a partial block except expst (10-row blocks)
+    pytest.param(40, 31, False, id="40-31"),
+    pytest.param(600, 501, False, id="600-501"),
+    pytest.param(131, 501, True, id="131-501-paper_h"),
+    pytest.param(3, 3, False, id="3-3"),
+    pytest.param(1, 3, True, id="1-3-paper_h"),
+    pytest.param(None, None, False, id="table"),
+])
+def test_assembly_bit_identical_to_out_of_place(name, m, n, paper_h):
+    prob = build_problem(name, m, n, paper_h=paper_h)
     s, t = prob.s_grid, prob.t_grid
     ref = _out_of_place_kernel(name, s[:, None], t[None, :]) * prob.weight.diag[None, :]
     assert prob.a.flags.c_contiguous
     assert np.array_equal(prob.a, ref)
+    assert np.array_equal(prob.b_exact, ref @ true_solution(name, t))
 
 
 @pytest.mark.parametrize("name,s,t", [
@@ -137,13 +148,31 @@ def test_build_problem_peak_memory(name, bound):
     assert peak <= bound * prob.a.nbytes
 
 
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_build_problem_peak_memory_at_table_size(name):
+    # the build holds A plus one row block of temporaries
+    build_problem(name, 20, 11)
+    tracemalloc.start()
+    try:
+        prob = build_problem(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * prob.a.nbytes
+
+
 def test_import_and_diagonal_solve_load_no_scipy(tmp_path):
-    # only dense weights use scipy; no built-in problem has one
+    # only dense weights use scipy; no built-in problem has one.  The build
+    # is single-threaded by design: it starts no thread and loads no pool
     code = (
-        "import sys, wsvd, wsvd.cli\n"
+        "import sys, threading, wsvd, wsvd.cli\n"
+        "threads = threading.active_count()\n"
+        "wsvd.build_problem('shaw', 600, 501)\n"
+        "assert threading.active_count() == threads\n"
         "assert wsvd.cli.main(['lcurve', '--problem', 'shaw', '--m', '60', '--n', '41',"
         " '--epsilon', '1e-2', '--seed', '0', '--max-iter', '10',"
         f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(wsvd.__file__))
