@@ -35,7 +35,7 @@ class ApproxTriplet:
     residual_bound: float
 
 
-# Columns a fresh basis buffer holds; a full buffer doubles.
+# Columns a basis buffer starts with when the run has no step budget.
 _INITIAL_COLUMNS = 32
 
 
@@ -48,10 +48,13 @@ class BidiagState:
     mid-step).  Each step appends exactly one beta, so k = len(betas) - 1.
 
     The basis vectors live as columns of two F-ordered buffers, m x cap and
-    n x cap, whose capacity doubles when full.  P and Q are read-only views
-    of their filled columns; ps and qs are the same views transposed, so
-    ps[i] is p_{i+1} and qs[i] is q_{i+1}.  A view taken before the buffer
-    grows keeps the old buffer, so take views after stepping.
+    n x cap.  wgkb_init sizes them once from the caller's step budget (k
+    steps fill k + 1 columns of each); without a budget they start at 32
+    columns, and a full buffer, budgeted or not, doubles.  P and Q are
+    read-only views of their filled columns; ps and qs are the same views
+    transposed, so ps[i] is p_{i+1} and qs[i] is q_{i+1}.  A view taken
+    before the buffer grows keeps the old buffer, so take views after
+    stepping.
     """
 
     p_buf: np.ndarray
@@ -117,6 +120,27 @@ def _with_room(buf, used):
     return grown
 
 
+def _max_abs(x):
+    return max(-float(x.min()), float(x.max()))
+
+
+def _sqrt_dot(x, y=None, factor=1.0):
+    """factor * sqrt(max(x^T y, 0)) with y defaulting to x, so a multiple of
+    ||x||_2 or, for y = M x, of ||x||_M.  Only when the plain product
+    overflows is it recomputed from x and y scaled by their largest
+    magnitudes, so every in-range value keeps the bits of the plain formula
+    and a small factor brings an out-of-range norm back into range."""
+    with np.errstate(over="ignore"):
+        sq = float(x @ (x if y is None else y))
+    if not np.isinf(sq):
+        return factor * float(np.sqrt(max(sq, 0.0)))
+    cx = _max_abs(x)
+    cy = cx if y is None else _max_abs(y)
+    xs = x / cx
+    sq = xs @ (xs if y is None else y / cy)
+    return float(factor * np.sqrt(cx) * np.sqrt(cy) * np.sqrt(max(sq, 0.0)))
+
+
 def _reorth_left(r, pm):
     # two classical Gram-Schmidt passes against the 2-orthonormal columns
     for _ in range(2):
@@ -131,17 +155,24 @@ def _reorth_right(s, qm, weight):
     return s
 
 
-def wgkb_init(a, weight, b):
+def wgkb_init(a, weight, b, max_steps=None):
     """First vectors of the recursion.
 
-    Raises ValueError for b = 0 and for non-finite entries in b or A.  A is
-    not scanned: any NaN or inf in it reaches A^T p_1 (NaN * 0 and inf * 0
-    are NaN), which is checked instead.  If b is orthogonal to the range of
-    A (alpha_1 = 0) the returned state is already terminated with
-    termination_step 0.
+    max_steps is the number of steps the caller will take at most.  With it,
+    each basis buffer is allocated once with min(max_steps, m, n) + 1
+    columns, which a run of that many steps fills without growing (the
+    recursion terminates within min(m, n) steps in exact arithmetic); a run
+    that steps further still works, its buffers doubling as without a
+    budget.  Raises ValueError for a negative max_steps, for b = 0 and for
+    non-finite entries in b or A.  A is not scanned: any NaN or inf in it
+    reaches A^T p_1 (NaN * 0 and inf * 0 are NaN), which is checked
+    instead.  If b is orthogonal to the range of A (alpha_1 = 0) the
+    returned state is already terminated with termination_step 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if b.ndim != 1 or b.shape[0] != a.shape[0]:
         raise ValueError(f"b has shape {b.shape}, expected ({a.shape[0]},)")
     if a.shape[1] != weight.n:
@@ -150,7 +181,7 @@ def wgkb_init(a, weight, b):
         )
     if not np.isfinite(b).all():
         raise ValueError("starting vector b has non-finite entries")
-    beta1 = float(np.linalg.norm(b))
+    beta1 = _sqrt_dot(b)
     if beta1 == 0.0:
         raise ValueError("starting vector b must be nonzero")
     p1 = b / beta1
@@ -158,13 +189,14 @@ def wgkb_init(a, weight, b):
     if not np.isfinite(sbar).all():
         raise ValueError("matrix has non-finite entries")
     s = weight.solve(sbar)
-    alpha1 = float(np.sqrt(max(s @ sbar, 0.0)))
-    state = BidiagState(p_buf=np.empty((a.shape[0], _INITIAL_COLUMNS), order="F"),
-                        q_buf=np.empty((a.shape[1], _INITIAL_COLUMNS), order="F"),
-                        betas=[beta1])
+    alpha1 = _sqrt_dot(s, sbar)
+    m, n = a.shape
+    cols = _INITIAL_COLUMNS if max_steps is None else min(max_steps, m, n) + 1
+    state = BidiagState(p_buf=np.empty((m, cols), order="F"),
+                        q_buf=np.empty((n, cols), order="F"), betas=[beta1])
     state.append_p(p1)
     # no bidiagonal scale exists yet; compare against the matrix scale
-    if alpha1 <= BREAK_TOL * np.linalg.norm(a, "fro"):
+    if alpha1 <= _sqrt_dot(a.ravel(order="K"), factor=BREAK_TOL):
         state.terminated = True
         state.termination_step = 0
         return state
@@ -189,7 +221,7 @@ def wgkb_step(state, a, weight, reorth=True):
     r = a @ q_last - state.alphas[-1] * pm[:, -1]
     if reorth:
         r = _reorth_left(r, pm)
-    beta = float(np.linalg.norm(r))
+    beta = _sqrt_dot(r)
     if beta <= BREAK_TOL * state.scale:
         state.betas.append(0.0)
         state.terminated = True
@@ -204,7 +236,7 @@ def wgkb_step(state, a, weight, reorth=True):
     if reorth:
         s = _reorth_right(s, qm, weight)
         sbar = weight.matvec(s)
-    alpha = float(np.sqrt(max(s @ sbar, 0.0)))
+    alpha = _sqrt_dot(s, sbar)
     if alpha <= BREAK_TOL * state.scale:
         state.alphas.append(0.0)
         state.terminated = True

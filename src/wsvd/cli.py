@@ -401,7 +401,7 @@ def cmd_triplets(args):
     problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
     noisy = add_noise(problem, epsilon, seed)
     steps = cfg.max_iter if cfg.max_iter is not None else 30
-    state = wgkb_init(problem.a, problem.weight, noisy.b)
+    state = wgkb_init(problem.a, problem.weight, noisy.b, max_steps=steps)
     while not state.terminated and state.k < steps:
         wgkb_step(state, problem.a, problem.weight, reorth=cfg.reorth)
     count = min(args.count, state.k)

@@ -124,7 +124,7 @@ def _krylov_wsvd(a, weight, start):
     """Partial factorization from the recursion started at `start`, or None
     when it has not terminated within KRYLOV_MAX_STEPS steps or terminated
     at step 0 (start orthogonal to the range of A, nothing to project)."""
-    state = wgkb_init(a, weight, start)
+    state = wgkb_init(a, weight, start, max_steps=KRYLOV_MAX_STEPS)
     while not state.terminated and state.k < KRYLOV_MAX_STEPS:
         wgkb_step(state, a, weight)
     if not state.terminated or state.k == 0:

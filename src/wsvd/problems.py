@@ -97,8 +97,17 @@ def _phillips_phi(x):
     return x
 
 
+def _t_terms(name, t):
+    """What _kernel_into needs of t: (sin t, cos t) for shaw, t otherwise.
+
+    A build evaluates them once for all its row blocks.
+    """
+    return (np.sin(t), np.cos(t)) if name == "shaw" else t
+
+
 def _kernel_into(name, s, t, out):
-    """Write K(s, t) into out, whose shape is the broadcast shape of s and t.
+    """Write K(s, t) into out, whose shape is the broadcast shape of s and t;
+    t comes as _t_terms(name, t), which for shaw is (sin t, cos t).
 
     Only in-place ufuncs on out are used, so the temporaries are shaw's sinc
     factor and bool masks, each the size of out.
@@ -108,7 +117,8 @@ def _kernel_into(name, s, t, out):
         # numpy's sinc spelled out step for step (x = u / pi, y = pi x,
         # y = where(y, y, eps), sin(y) / y), so every entry keeps the bits of
         # np.sinc; eps handles the removable singularity at u = 0
-        np.add(np.sin(s), np.sin(t), out=out)
+        sin_t, cos_t = t
+        np.add(np.sin(s), sin_t, out=out)
         out *= np.pi
         out /= np.pi
         out *= np.pi
@@ -116,7 +126,7 @@ def _kernel_into(name, s, t, out):
         sinc = np.sin(out)
         sinc /= out
         sinc *= sinc
-        np.add(np.cos(s), np.cos(t), out=out)
+        np.add(np.cos(s), cos_t, out=out)
         out *= out
         out *= sinc
     elif name == "phillips":
@@ -139,7 +149,7 @@ def kernel_eval(name, s, t):
     if name not in TABLE_DIMS:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     out = np.empty(np.broadcast_shapes(s.shape, t.shape))
-    _kernel_into(name, s, t, out)
+    _kernel_into(name, s, _t_terms(name, t), out)
     return out if out.ndim else out[()]
 
 
@@ -177,9 +187,10 @@ def build_problem(name, m=None, n=None, paper_h=False):
     w = simpson_weights(n, t1, t2, paper_h=paper_h)
     a = np.empty((m, n))
     rows = max(1, _BLOCK_BYTES // (8 * n))
+    t_terms = _t_terms(name, t[None, :])
     for j in range(0, m, rows):
         block = a[j:j + rows]
-        _kernel_into(name, s[j:j + rows, None], t[None, :], block)
+        _kernel_into(name, s[j:j + rows, None], t_terms, block)
         block *= w
     x_true = true_solution(name, t)
     return TestProblem(

@@ -45,14 +45,15 @@ class WlsqrState:
         return self.bidiag.betas[0]
 
 
-def wlsqr_init(a, weight, b):
+def wlsqr_init(a, weight, b, max_steps=None):
     """x_0 = 0 with w_1 = q_1, phibar_1 = beta_1, rhobar_1 = alpha_1.
 
-    If b is orthogonal to the range of A the state is immediately done and
-    x = 0 is the solution.
+    max_steps is the step budget that sizes the bases (see wgkb_init).  If b
+    is orthogonal to the range of A the state is immediately done and x = 0
+    is the solution.
     """
     a = np.asarray(a, dtype=float)
-    bid = wgkb_init(a, weight, b)
+    bid = wgkb_init(a, weight, b, max_steps=max_steps)
     x = np.zeros(a.shape[1])
     if bid.terminated:
         return WlsqrState(x=x, w=None, phibar=bid.betas[0], rhobar=0.0,
@@ -101,9 +102,11 @@ def wlsqr_step(state, a, weight, reorth=True):
 def wlsqr_run(a, weight, b, max_iter=None, reorth=True, callback=None):
     """Run the solver until termination or max_iter steps.
 
-    max_iter defaults to min(m, n, 200).  callback(k, x, residual_norm,
-    solution_m_norm) is invoked after each step; a truthy return stops the
-    run.  The x passed to the callback is never mutated by later steps.
+    max_iter defaults to min(m, n, 200) and is also the step budget that
+    sizes the bases once (see wgkb_init).
+    callback(k, x, residual_norm, solution_m_norm) is invoked after each
+    step; a truthy return stops the run.  The x passed to the callback is
+    never mutated by later steps.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
@@ -111,7 +114,7 @@ def wlsqr_run(a, weight, b, max_iter=None, reorth=True, callback=None):
         max_iter = min(m, n, DEFAULT_MAX_ITER)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    state = wlsqr_init(a, weight, b)
+    state = wlsqr_init(a, weight, b, max_steps=max_iter)
     while not state.done and state.k < max_iter:
         wlsqr_step(state, a, weight, reorth=reorth)
         if callback is not None and callback(

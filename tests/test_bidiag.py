@@ -332,3 +332,23 @@ def test_step_within_capacity_copies_no_basis():
     assert np.shares_memory(p_before, state.P)
     assert np.array_equal(state.P[:, :4], p_before)
 
+
+
+def test_a_budget_sizes_the_bases_and_a_longer_run_still_grows():
+    a, weight, b = setup_random(47)
+    free = run_steps(a, weight, b, 5)
+    state = wgkb_init(a, weight, b, max_steps=2)
+    assert state.p_buf.shape == (30, 3) and state.q_buf.shape == (20, 3)
+    for _ in range(5):
+        wgkb_step(state, a, weight)
+    # past its budget the run takes the growth path, with the same numbers
+    assert state.p_buf.shape[1] >= 6 and state.q_buf.shape[1] >= 6
+    assert state.alphas == free.alphas and state.betas == free.betas
+    assert np.array_equal(state.P, free.P) and np.array_equal(state.Q, free.Q)
+
+
+def test_init_rejects_a_negative_budget():
+    a, weight, b = setup_random()
+    with pytest.raises(ValueError, match="max_steps"):
+        wgkb_init(a, weight, b, max_steps=-1)
+    assert wgkb_init(a, weight, b, max_steps=0).p_buf.shape == (30, 1)

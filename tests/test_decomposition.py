@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,23 @@ def test_wsvd_accepts_finite_entries_near_overflow():
     a = np.array([[1e308, -1e308], [1e308, 1e308]])
     f = wsvd(a, WeightMatrix.identity(2))
     assert f.rank == 2 and np.all(np.isfinite(f.sigma))
+
+
+@pytest.mark.parametrize("a,start", [
+    # alpha_1 and ||A||_F of the first overflow in plain form; the recursion
+    # then terminates at step 1 on the repeated singular value
+    ([[1e308, -1e308], [1e308, 1e308]], [1.0, 0.0]),
+    # beta_2 overflows in plain form too; two steps, two triplets
+    ([[1e308, 0.0], [0.0, 5e307]], [1.0, 1.0]),
+])
+def test_krylov_route_factors_entries_near_overflow(a, start):
+    a = np.array(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fk = wsvd(a, WeightMatrix.identity(2), start=start)
+    fd = wsvd(a, WeightMatrix.identity(2))
+    assert fk.krylov_steps is not None and np.all(np.isfinite(fk.sigma))
+    assert np.allclose(fk.sigma, fd.sigma[:fk.rank], rtol=1e-12, atol=0)
 
 
 def test_solution_b_shape_validation():

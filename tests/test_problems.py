@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import scipy.integrate
 
 import wsvd
 
+from conftest import traced_peak
 from wsvd import (add_noise, build_problem, condition_estimate, kernel_eval,
                   load_problem, save_problem, simpson_weights, true_solution)
 
@@ -139,12 +139,7 @@ def test_kernel_eval_bit_identical_at_edge_points(name, s, t):
 ])
 def test_build_problem_peak_memory(name, bound):
     build_problem(name, 20, 11)  # warm imports and caches outside the trace
-    tracemalloc.start()
-    try:
-        prob = build_problem(name, 600, 501)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    prob, peak = traced_peak(lambda: build_problem(name, 600, 501))
     assert peak <= bound * prob.a.nbytes
 
 
@@ -152,12 +147,7 @@ def test_build_problem_peak_memory(name, bound):
 def test_build_problem_peak_memory_at_table_size(name):
     # the build holds A plus one row block of temporaries
     build_problem(name, 20, 11)
-    tracemalloc.start()
-    try:
-        prob = build_problem(name)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    prob, peak = traced_peak(lambda: build_problem(name))
     assert peak <= 1.05 * prob.a.nbytes
 
 
@@ -330,12 +320,7 @@ def test_save_load_table_scale_round_trip_and_peak(tmp_path):
     prob = build_problem("green", 600, 501)
     noisy = add_noise(prob, 1e-3, 2)
     save_problem(tmp_path, prob, noisy)
-    tracemalloc.start()
-    try:
-        prob2, noisy2 = load_problem(tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (prob2, noisy2), peak = traced_peak(lambda: load_problem(tmp_path))
     assert np.array_equal(prob2.a, prob.a)
     assert np.array_equal(noisy2.b, noisy.b)
     # A is read straight into its array: no bytes object or second copy

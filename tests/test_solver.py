@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from wsvd import (WeightMatrix, min_m_norm_ls, project_bidiagonal, wlsqr_init,
-                  wlsqr_run, wlsqr_step, wsvd)
+from wsvd import (WeightMatrix, add_noise, build_problem, min_m_norm_ls,
+                  project_bidiagonal, wlsqr_init, wlsqr_run, wlsqr_step, wsvd)
 
+from conftest import traced_peak
 from test_weights import random_spd
 
 
@@ -193,3 +194,29 @@ def test_b_orthogonal_to_range_returns_zero():
     state = wlsqr_init(a, WeightMatrix.identity(3), b)
     assert state.done
     assert np.array_equal(state.x, np.zeros(3))
+
+
+def test_run_allocates_its_bases_once_for_max_iter():
+    # 100 steps fill 101 columns of P (m x) and Q (n x); beyond those the run
+    # holds O(m + n): no spare columns and no copy made by growing a basis
+    problem = build_problem("phillips", 600, 501)
+    b = add_noise(problem, 1e-3, 0).b
+    wlsqr_run(problem.a, problem.weight, b, max_iter=3)  # warm caches outside the trace
+    state, peak = traced_peak(
+        lambda: wlsqr_run(problem.a, problem.weight, b, max_iter=100))
+    m, n = problem.a.shape
+    assert state.k == 100 and not state.done
+    assert peak <= 1.1 * 8 * 101 * (m + n) + 16 * 8 * (m + n)
+
+
+@pytest.mark.parametrize("max_iter,columns", [
+    (5, 6),
+    # the budget is capped at min(m, n) steps, past which the recursion stops
+    (10_000, 32),
+])
+def test_bases_are_sized_from_max_iter(max_iter, columns):
+    problem = build_problem("green", 40, 31)
+    state = wlsqr_run(problem.a, problem.weight, add_noise(problem, 1e-3, 0).b,
+                      max_iter=max_iter)
+    bid = state.bidiag
+    assert bid.p_buf.shape == (40, columns) and bid.q_buf.shape == (31, columns)
