@@ -7,7 +7,7 @@ respect to that geometry unless stated otherwise.
 """
 
 from .bidiag import (ApproxTriplet, BidiagState, approx_triplets,
-                     project_bidiagonal, wgkb_init, wgkb_step)
+                     project_bidiagonal, wgkb_init, wgkb_run, wgkb_step)
 from .decomposition import (WsvdFactorization, covers, low_rank_approx, min_m_norm_ls,
                             tikhonov_wsvd, twsvd_solution,
                             weighted_operator_norm, wsvd)
@@ -61,6 +61,7 @@ __all__ = [
     "twsvd_solution",
     "weighted_operator_norm",
     "wgkb_init",
+    "wgkb_run",
     "wgkb_step",
     "wlsqr_init",
     "wlsqr_iterate",

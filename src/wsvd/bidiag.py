@@ -248,6 +248,16 @@ def wgkb_step(state, a, weight, reorth=True):
     return state
 
 
+def wgkb_run(a, weight, b, steps, reorth=True):
+    """The recursion from b, stepped until it terminates or has taken
+    `steps` steps; the bases are sized once for that budget (see
+    wgkb_init).  steps = 0 returns the state of wgkb_init."""
+    state = wgkb_init(a, weight, b, max_steps=steps)
+    while not state.terminated and state.k < steps:
+        wgkb_step(state, a, weight, reorth=reorth)
+    return state
+
+
 def project_bidiagonal(state, k=None):
     """The (k+1) x k lower bidiagonal matrix B_k with diagonal alpha_1..alpha_k
     and subdiagonal beta_2..beta_{k+1}; k defaults to the completed step count."""

@@ -5,6 +5,11 @@ rule), sweep (epsilon x seed x method x rule grid), lcurve (corner
 diagnostics), wsvd (dump a factorization), triplets (approximate weighted
 singular triplets with residual bounds).
 
+Every command runs on the library's single paths: solve, sweep and lcurve
+take their histories from spr_solve or twsvd_record and their stop indices
+from select, triplets steps the recursion with wgkb_run, and gen and wsvd
+write their binary files with problems.write_array.
+
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
 
@@ -14,33 +19,24 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .bidiag import approx_triplets, wgkb_init, wgkb_step
+from .bidiag import approx_triplets, wgkb_run
 from .decomposition import covers, wsvd
 from .problems import (PROBLEM_NAMES, add_noise, build_problem, load_problem,
-                       save_problem)
-from .regularization import (DEFAULT_TAU, RULES, StoppingRule, lcurve_curvature,
-                             select, spr_solve, stop_lcurve, tikhonov_opt,
+                       save_problem, write_array)
+from .regularization import (DEFAULT_TAU, RULES, RunRecord, StoppingRule,
+                             lcurve_curvature, select, spr_solve, tikhonov_opt,
                              twsvd_record)
-from .solver import wlsqr_run
+from .solver import wlsqr_run  # noqa: F401  not called here; bench/tracing.py wraps this name
 from .weights import WeightMatrix
 
 METHODS = ("wlsqr", "lsqr", "tikh-opt", "twsvd")
 
 # the noise levels of the reference sweep, largest first
 SWEEP_EPSILONS = (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
-
-
-class UsageError(Exception):
-    """Invalid configuration detected after argument parsing."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -50,10 +46,10 @@ class ExperimentConfig:
     problem: str = "shaw"
     m: int | None = None
     n: int | None = None
-    epsilons: list = field(default_factory=lambda: [1e-3])
-    seeds: list = field(default_factory=lambda: [0])
-    rules: list = field(default_factory=lambda: ["dp"])
-    methods: list = field(default_factory=lambda: ["wlsqr"])
+    epsilons: list[float] = field(default_factory=lambda: [1e-3])
+    seeds: list[int] = field(default_factory=lambda: [0])
+    rules: list[str] = field(default_factory=lambda: ["dp"])
+    methods: list[str] = field(default_factory=lambda: ["wlsqr"])
     tau: float = DEFAULT_TAU
     max_iter: int | None = None
     reorth: bool = True
@@ -73,96 +69,83 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text):
-        raw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                raw[key] = value
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            v = raw[f.name]
-            if f.name in ("epsilons",):
-                kwargs[f.name] = [float(x) for x in v.split(",") if x]
-            elif f.name in ("seeds",):
-                kwargs[f.name] = [int(x) for x in v.split(",") if x]
-            elif f.name in ("rules", "methods"):
-                kwargs[f.name] = [x for x in v.split(",") if x]
-            elif f.name in ("m", "n", "max_iter"):
-                kwargs[f.name] = None if v == "None" else int(v)
-            elif f.name in ("tau",):
-                kwargs[f.name] = float(v)
-            elif f.name in ("reorth", "paper_h"):
-                kwargs[f.name] = v == "True"
-            else:
-                kwargs[f.name] = v
-        return cls(**kwargs)
+        """The config of to_text's key=value lines.  Each value is parsed by
+        its field's annotation; a key that names no field (such as the jobs
+        line of older configs) is skipped."""
+        raw = dict(line.strip().partition("=")[::2] for line in text.splitlines()
+                   if line.strip())
+        return cls(**{f.name: _parse(f.type, f.name, raw[f.name])
+                      for f in fields(cls) if f.name in raw})
+
+
+def _parse(kind, name, text):
+    """text as a value of the annotation kind.  A list[T] is comma-separated,
+    an X | None reads "None" as None, and a bool must read exactly True or
+    False, or ValueError names the field."""
+    if get_origin(kind) is list:
+        return [_parse(get_args(kind)[0], name, x) for x in text.split(",") if x]
+    if type(None) in get_args(kind):
+        return None if text == "None" else _parse(get_args(kind)[0], name, text)
+    if kind is not bool:
+        return kind(text)
+    if text not in ("True", "False"):
+        raise ValueError(f"config field {name}: expected True or False, got {text!r}")
+    return text == "True"
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", choices=PROBLEM_NAMES, default="shaw")
-    common.add_argument("--m", type=int, default=None)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--epsilon", type=float, nargs="+", default=None,
-                        help="noise level(s) ||e||/||b_exact||")
-    common.add_argument("--seed", type=int, nargs="+", default=None)
-    common.add_argument("--rule", choices=RULES, nargs="+", default=None)
-    common.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                        help="discrepancy safety factor")
-    common.add_argument("--max-iter", type=int, default=None)
-    common.add_argument("--method", choices=METHODS, nargs="+", default=None)
-    common.add_argument("--reorth", choices=("on", "off"), default="on")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--paper-h", action="store_true",
+    # each dest is an ExperimentConfig field; an option left out is None and
+    # keeps the field's default
+    common.add_argument("--problem", choices=PROBLEM_NAMES)
+    common.add_argument("--m", type=int)
+    common.add_argument("--n", type=int)
+    common.add_argument("--epsilon", dest="epsilons", metavar="EPSILON", type=float,
+                        nargs="+", help="noise level(s) ||e||/||b_exact||")
+    common.add_argument("--seed", dest="seeds", metavar="SEED", type=int, nargs="+")
+    common.add_argument("--rule", dest="rules", choices=RULES, nargs="+")
+    common.add_argument("--tau", type=float,
+                        help=f"discrepancy safety factor (default {DEFAULT_TAU})")
+    common.add_argument("--max-iter", type=int)
+    common.add_argument("--method", dest="methods", choices=METHODS, nargs="+")
+    common.add_argument("--reorth", choices=("on", "off"), help="default on")
+    common.add_argument("--out", help="output directory (default .)")
+    common.add_argument("--paper-h", action="store_true", default=None,
                         help="use the verbatim printed quadrature constant (t2-t1)/n")
 
-    parser = _Parser(prog="wsvd", description=__doc__)
+    parser = argparse.ArgumentParser(prog="wsvd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", parents=[common],
-                   help="generate a problem directory")
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="run one method and stopping rule")
-    p_solve.add_argument("--in", dest="indir", default=None,
-                         help="load a generated problem directory instead of building")
-    sub.add_parser("sweep", parents=[common],
-                   help="grid over epsilon x seed x method x rule")
-    p_lc = sub.add_parser("lcurve", parents=[common],
-                          help="L-curve points, curvature, and corner")
-    p_lc.add_argument("--points", default=None,
-                      help="CSV of k,res_norm,sol_mnorm to analyze instead of running")
-    sub.add_parser("wsvd", parents=[common],
-                   help="dump the weighted SVD of a small problem")
-    p_tr = sub.add_parser("triplets", parents=[common],
-                          help="approximate weighted singular triplets")
-    p_tr.add_argument("--count", type=int, default=6)
-    p_tr.add_argument("--triplet-tol", type=float, default=1e-8,
-                      help="acceptance threshold relative to sigma_bar_1")
+    cmds = {}
+    for name, run, text in (
+            ("gen", cmd_gen, "generate a problem directory"),
+            ("solve", cmd_solve, "run one method and stopping rule"),
+            ("sweep", cmd_sweep, "grid over epsilon x seed x method x rule"),
+            ("lcurve", cmd_lcurve, "L-curve points, curvature, and corner"),
+            ("wsvd", cmd_wsvd, "dump the weighted SVD of a small problem"),
+            ("triplets", cmd_triplets, "approximate weighted singular triplets")):
+        cmds[name] = sub.add_parser(name, parents=[common], help=text)
+        cmds[name].set_defaults(run=run)
+    cmds["solve"].add_argument("--in", dest="indir",
+                               help="load a generated problem directory instead of building")
+    cmds["lcurve"].add_argument("--points",
+                                help="CSV of k,res_norm,sol_mnorm to analyze instead of running")
+    cmds["triplets"].add_argument("--count", type=int, default=6)
+    cmds["triplets"].add_argument("--triplet-tol", type=float, default=1e-8,
+                                  help="acceptance threshold relative to sigma_bar_1")
     return parser
 
 
 def _config_from_args(args):
-    return ExperimentConfig(
-        problem=args.problem,
-        m=args.m,
-        n=args.n,
-        epsilons=list(args.epsilon) if args.epsilon is not None else [1e-3],
-        seeds=list(args.seed) if args.seed is not None else [0],
-        rules=list(args.rule) if args.rule is not None else ["dp"],
-        methods=list(args.method) if args.method is not None else ["wlsqr"],
-        tau=args.tau,
-        max_iter=args.max_iter,
-        reorth=args.reorth == "on",
-        paper_h=args.paper_h,
-        out=args.out,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    if "reorth" in given:
+        given["reorth"] = given["reorth"] == "on"
+    return ExperimentConfig(**given)
 
 
 def _single(values, what):
     if len(values) != 1:
-        raise UsageError(f"exactly one {what} expected, got {values}")
+        raise ValueError(f"exactly one {what} expected, got {values}")
     return values[0]
 
 
@@ -174,10 +157,6 @@ def _fmt_log(x):
     """log(x), or nan (as in the curvature column) where x is not a finite
     positive norm, e.g. the zero residual of a breakdown step."""
     return _fmt(np.log(x)) if np.isfinite(x) and x > 0 else "nan"
-
-
-def _problem_tag(cfg, epsilon, seed):
-    return f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}_eps{epsilon:g}_seed{seed}"
 
 
 def _write_csv(path, header, rows):
@@ -218,32 +197,32 @@ def _stop_error(record):
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_gen(args):
-    cfg = _config_from_args(args)
+def _instance(cfg, indir=None):
+    """(epsilon, seed, problem, noisy) for the one epsilon and seed of cfg;
+    the problem and its noisy data are loaded from indir when it is given."""
     epsilon = _single(cfg.epsilons, "--epsilon")
     seed = _single(cfg.seeds, "--seed")
+    if indir is not None:
+        return epsilon, seed, *load_problem(indir)
     problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-    noisy = add_noise(problem, epsilon, seed)
-    path = os.path.join(cfg.out, _problem_tag(cfg, epsilon, seed))
+    return epsilon, seed, problem, add_noise(problem, epsilon, seed)
+
+
+def cmd_gen(args):
+    cfg = _config_from_args(args)
+    epsilon, seed, problem, noisy = _instance(cfg)
+    tag = f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}_eps{epsilon:g}_seed{seed}"
+    path = os.path.join(cfg.out, tag)
     save_problem(path, problem, noisy)
     print(path)
     return 0
-
-
-def _load_or_build(cfg, epsilon, seed, indir):
-    if indir is not None:
-        return load_problem(indir)
-    problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-    return problem, add_noise(problem, epsilon, seed)
 
 
 def cmd_solve(args):
     cfg = _config_from_args(args)
     method = _single(cfg.methods, "--method")
     rule_kind = _single(cfg.rules, "--rule")
-    epsilon = _single(cfg.epsilons, "--epsilon")
-    seed = _single(cfg.seeds, "--seed")
-    problem, noisy = _load_or_build(cfg, epsilon, seed, getattr(args, "indir", None))
+    epsilon, seed, problem, noisy = _instance(cfg, args.indir)
     (rule,) = _rules(cfg, problem, noisy)
 
     t0 = time.perf_counter()
@@ -284,7 +263,7 @@ def _error_status(exc):
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
-    if args.epsilon is None:
+    if args.epsilons is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
     # The spectral rows of a pair share one factorization.  The sweep keeps
@@ -329,43 +308,40 @@ def cmd_sweep(args):
     return 0
 
 
+def _points_record(path):
+    """The RunRecord of a CSV of k,res_norm,sol_mnorm rows (a header or blank
+    line is skipped); ks keeps the file's k column."""
+    with open(path) as fh:
+        rows = [line.split(",") for line in map(str.strip, fh)
+                if line and not line.startswith("k,")]
+    return RunRecord(ks=np.array([int(r[0]) for r in rows], dtype=int),
+                     residual_norms=np.array([float(r[1]) for r in rows]),
+                     solution_m_norms=np.array([float(r[2]) for r in rows]),
+                     rel_errors=None, initial_residual=float("nan"),
+                     stop_index=len(rows), rule="maxiter")
+
+
 def cmd_lcurve(args):
     cfg = _config_from_args(args)
+    lc = StoppingRule("lc")
     if args.points is not None:
-        ks, res, mnorms = [], [], []
-        with open(args.points) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("k,"):
-                    continue
-                parts = line.split(",")
-                ks.append(int(parts[0]))
-                res.append(float(parts[1]))
-                mnorms.append(float(parts[2]))
-        res = np.asarray(res)
-        mnorms = np.asarray(mnorms)
+        record = select(lc, _points_record(args.points))
     else:
-        epsilon = _single(cfg.epsilons, "--epsilon")
-        seed = _single(cfg.seeds, "--seed")
-        problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-        noisy = add_noise(problem, epsilon, seed)
-        state = wlsqr_run(problem.a, problem.weight, noisy.b,
-                          max_iter=cfg.max_iter, reorth=cfg.reorth)
-        ks = list(range(1, state.k + 1))
-        res = np.asarray(state.residual_norms)
-        mnorms = np.asarray(state.solution_m_norms)
-
-    corner = stop_lcurve(res, mnorms)
-    if corner.no_corner:
+        _, _, problem, noisy = _instance(cfg)
+        _, record = spr_solve(problem.a, problem.weight, noisy.b, lc,
+                              max_iter=cfg.max_iter, reorth=cfg.reorth)
+    # select gives index 0 on an empty history and raises on 1 to 4 points
+    if record.ks.size == 0:
+        raise ValueError("L-curve selection needs >= 5 points, got 0")
+    if not record.satisfied:
         print("warning: no corner detected (history near collinear)", file=sys.stderr)
+    res, mnorms = record.residual_norms, record.solution_m_norms
     curv_ks, curv = lcurve_curvature(res, mnorms)
     curv_map = dict(zip(curv_ks.tolist(), curv.tolist()))
-    rows = []
-    for i, k in enumerate(ks):
-        c = curv_map.get(k)
-        rows.append((str(k), _fmt_log(res[i]), _fmt_log(mnorms[i]),
-                     _fmt(c) if c is not None else "nan",
-                     "true" if k == corner.index else "false"))
+    rows = [(str(k), _fmt_log(r), _fmt_log(mn),
+             _fmt(curv_map[k]) if k in curv_map else "nan",
+             "true" if k == record.stop_index else "false")
+            for k, r, mn in zip(record.ks.tolist(), res, mnorms)]
     path = os.path.join(cfg.out, "lcurve.csv")
     _write_csv(path, "k,log_res,log_mnorm,curvature,is_corner", rows)
     print(path)
@@ -382,9 +358,7 @@ def cmd_wsvd(args):
     outdir = os.path.join(cfg.out, f"wsvd_{problem.name}_m{m}_n{n}")
     os.makedirs(outdir, exist_ok=True)
     for fname, mat in (("U", fact.u), ("V", fact.v)):
-        with open(os.path.join(outdir, fname), "wb") as fh:
-            np.array(mat.shape, dtype="<i8").tofile(fh)
-            np.ascontiguousarray(mat, dtype="<f8").tofile(fh)
+        write_array(os.path.join(outdir, fname), mat, shape_header=True)
     _write_csv(os.path.join(outdir, "sigma.csv"), "i,sigma",
                [(str(i + 1), _fmt(s)) for i, s in enumerate(fact.sigma)])
     with open(os.path.join(outdir, "meta"), "w") as fh:
@@ -396,18 +370,16 @@ def cmd_wsvd(args):
 
 def cmd_triplets(args):
     cfg = _config_from_args(args)
-    epsilon = _single(cfg.epsilons, "--epsilon")
-    seed = _single(cfg.seeds, "--seed")
-    problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
-    noisy = add_noise(problem, epsilon, seed)
     steps = cfg.max_iter if cfg.max_iter is not None else 30
-    state = wgkb_init(problem.a, problem.weight, noisy.b, max_steps=steps)
-    while not state.terminated and state.k < steps:
-        wgkb_step(state, problem.a, problem.weight, reorth=cfg.reorth)
-    count = min(args.count, state.k)
-    if count < 1:
-        raise UsageError("recursion terminated before producing any triplets")
-    trips = approx_triplets(state, count)
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if steps < 1:
+        raise ValueError(f"--max-iter must be >= 1, got {steps}")
+    _, _, problem, noisy = _instance(cfg)
+    state = wgkb_run(problem.a, problem.weight, noisy.b, steps, reorth=cfg.reorth)
+    if state.k == 0:
+        raise ValueError("recursion terminated before producing any triplets")
+    trips = approx_triplets(state, min(args.count, state.k))
     tol = args.triplet_tol * trips[0].sigma_bar
     rows = [(str(i + 1), _fmt(t.sigma_bar), _fmt(t.residual_bound),
              "true" if t.residual_bound <= tol else "false")
@@ -418,25 +390,14 @@ def cmd_triplets(args):
     return 0
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "lcurve": cmd_lcurve,
-    "wsvd": cmd_wsvd,
-    "triplets": cmd_triplets,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # StoppingRule, build_problem and the checks here
         print(f"wsvd: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  runtime failure -> exit 2

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import (BREAK_TOL, _lifted_svd, _reorth_left, _reorth_right, wgkb_init,
-                     wgkb_step)
+from .bidiag import BREAK_TOL, _lifted_svd, _reorth_left, _reorth_right, wgkb_run
 from .weights import WeightMatrix
 
 # Steps the Krylov route takes before it gives up and runs the dense route.
@@ -124,9 +123,7 @@ def _krylov_wsvd(a, weight, start):
     """Partial factorization from the recursion started at `start`, or None
     when it has not terminated within KRYLOV_MAX_STEPS steps or terminated
     at step 0 (start orthogonal to the range of A, nothing to project)."""
-    state = wgkb_init(a, weight, start, max_steps=KRYLOV_MAX_STEPS)
-    while not state.terminated and state.k < KRYLOV_MAX_STEPS:
-        wgkb_step(state, a, weight)
+    state = wgkb_run(a, weight, start, KRYLOV_MAX_STEPS)
     if not state.terminated or state.k == 0:
         return None
     theta, u, v, _ = _lifted_svd(state)

@@ -241,23 +241,23 @@ def condition_estimate(problem):
 _META_KEYS = ("name", "m", "n", "epsilon", "seed", "t1", "t2", "paper_h")
 
 
+def write_array(path, arr, shape_header=False):
+    """Write arr as little-endian float64 in row-major order, preceded by its
+    shape as little-endian int64 when shape_header is set.  tofile writes
+    straight from the array, without a bytes copy of it."""
+    with open(path, "wb") as fh:
+        if shape_header:
+            np.array(arr.shape, dtype="<i8").tofile(fh)
+        np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
+
+
 def save_problem(dirpath, problem, noisy):
     """Write a problem and its noisy data to a directory (created if needed)."""
     os.makedirs(dirpath, exist_ok=True)
-
-    def put(fname, arr, header=None):
-        # tofile writes straight from the array, without a bytes copy of A
-        with open(os.path.join(dirpath, fname), "wb") as fh:
-            if header is not None:
-                np.array(header, dtype="<i8").tofile(fh)
-            np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
-
-    put("A", problem.a, header=problem.a.shape)
-    put("M.diag", problem.weight.diag)
-    put("x_true", problem.x_true)
-    put("b_exact", problem.b_exact)
-    put("b", noisy.b)
-    put("e", noisy.e)
+    write_array(os.path.join(dirpath, "A"), problem.a, shape_header=True)
+    for fname, arr in (("M.diag", problem.weight.diag), ("x_true", problem.x_true),
+                       ("b_exact", problem.b_exact), ("b", noisy.b), ("e", noisy.e)):
+        write_array(os.path.join(dirpath, fname), arr)
     t1, t2 = DOMAINS[problem.name]
     meta = {
         "name": problem.name,

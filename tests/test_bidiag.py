@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, add_noise, approx_triplets, build_problem,
-                  project_bidiagonal, weighted_operator_norm, wgkb_init, wgkb_step,
-                  wsvd)
+from wsvd import (WeightMatrix, add_noise, approx_triplets, bidiag, build_problem,
+                  project_bidiagonal, weighted_operator_norm, wgkb_init, wgkb_run,
+                  wgkb_step, wsvd)
 
 from test_weights import random_spd
 
@@ -352,3 +352,53 @@ def test_init_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="max_steps"):
         wgkb_init(a, weight, b, max_steps=-1)
     assert wgkb_init(a, weight, b, max_steps=0).p_buf.shape == (30, 1)
+
+
+@pytest.mark.parametrize("steps", [5, 50])
+def test_run_sizes_each_buffer_from_its_budget(steps):
+    a, weight, b = setup_random(48)
+    state = wgkb_run(a, weight, b, steps)
+    cols = min(steps, 30, 20) + 1
+    assert state.p_buf.shape == (30, cols) and state.q_buf.shape == (20, cols)
+
+
+def test_run_stops_at_a_terminating_step():
+    problem = build_problem("shaw", 60, 41)
+    state = wgkb_run(problem.a, problem.weight, problem.b_exact, 64)
+    assert state.terminated and state.k == state.termination_step < 64
+
+
+def test_run_passes_reorth_to_every_step(monkeypatch):
+    a, weight, b = setup_random(49)
+    seen = []
+    original = bidiag.wgkb_step
+
+    def spy(state, a, weight, reorth=True):
+        seen.append(reorth)
+        return original(state, a, weight, reorth=reorth)
+
+    monkeypatch.setattr(bidiag, "wgkb_step", spy)
+    state = wgkb_run(a, weight, b, 4, reorth=False)
+    assert state.k == 4 and seen == [False] * 4
+
+
+def test_run_of_zero_steps_is_the_init_state():
+    a, weight, b = setup_random(50)
+    state = wgkb_run(a, weight, b, 0)
+    init = wgkb_init(a, weight, b, max_steps=0)
+    assert state.k == 0 and not state.terminated
+    assert state.alphas == init.alphas and state.betas == init.betas
+    assert np.array_equal(state.P, init.P) and np.array_equal(state.Q, init.Q)
+
+
+@pytest.mark.parametrize("reorth", [True, False])
+def test_run_is_bit_identical_to_the_hand_loop(reorth):
+    a, weight, b = setup_random(51, dense_weight=False)
+    hand = wgkb_init(a, weight, b, max_steps=12)
+    while not hand.terminated and hand.k < 12:
+        wgkb_step(hand, a, weight, reorth=reorth)
+    state = wgkb_run(a, weight, b, 12, reorth=reorth)
+    assert state.alphas == hand.alphas and state.betas == hand.betas
+    assert np.array_equal(state.P, hand.P) and np.array_equal(state.Q, hand.Q)
+    assert (state.terminated, state.termination_step) == (hand.terminated,
+                                                          hand.termination_step)

@@ -40,6 +40,11 @@ def test_config_with_a_jobs_line_still_loads():
                                    out="results")
 
 
+def test_config_rejects_a_boolean_spelled_otherwise():
+    with pytest.raises(ValueError, match="reorth"):
+        ExperimentConfig.from_text("problem=shaw\nreorth=true\n")
+
+
 def test_config_round_trip_defaults():
     cfg = ExperimentConfig()
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
@@ -154,13 +159,13 @@ def test_sweep_grid_and_consistency(tmp_path, capsys):
 def count_krylov_attempts(monkeypatch):
     """A list that grows by one per Krylov-route attempt of wsvd."""
     calls = []
-    original = decomposition.wgkb_init
+    original = decomposition.wgkb_run
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "wgkb_init", counting)
+    monkeypatch.setattr(decomposition, "wgkb_run", counting)
     return calls
 
 
@@ -351,6 +356,14 @@ def test_lcurve_points_zero_residual_row(tmp_path, capsys):
     assert int(corner[0]["k"]) == 6
 
 
+def test_lcurve_points_empty_file(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("")
+    assert main(["lcurve", "--points", str(pts), "--out", str(tmp_path)]) == 1
+    assert "needs >= 5 points, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "lcurve.csv").exists()
+
+
 def test_wsvd_dump(tmp_path, capsys):
     rc = main(["wsvd", "--problem", "green", "--out", str(tmp_path)])
     assert rc == 0
@@ -375,6 +388,20 @@ def test_triplets_output(tmp_path, capsys):
     sig = [float(r["sigma_bar"]) for r in rows]
     assert sig == sorted(sig, reverse=True)
     assert all(r["accepted"] in ("true", "false") for r in rows)
+
+
+@pytest.mark.parametrize("bad, option", [(["--count", "0"], "--count"),
+                                         (["--count", "-3"], "--count"),
+                                         (["--max-iter", "0"], "--max-iter")],
+                         ids=["count-0", "count-negative", "max-iter-0"])
+def test_triplets_rejects_an_empty_request_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           bad, option):
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    rc = main(["triplets", "--problem", "shaw", "--m", "60", "--n", "41",
+               "--epsilon", "0", *bad, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{option} must be >= 1" in err and "terminated" not in err
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):
