@@ -64,12 +64,16 @@ class BidiagState:
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
     terminated: bool = False
-    termination_step: int | None = None
     scale: float = 0.0
 
     @property
     def k(self):
         return len(self.betas) - 1
+
+    @property
+    def termination_step(self):
+        """k once the recursion has terminated, else None."""
+        return self.k if self.terminated else None
 
     @property
     def P(self):
@@ -198,7 +202,6 @@ def wgkb_init(a, weight, b, max_steps=None):
     # no bidiagonal scale exists yet; compare against the matrix scale
     if alpha1 <= _sqrt_dot(a.ravel(order="K"), factor=BREAK_TOL):
         state.terminated = True
-        state.termination_step = 0
         return state
     state.alphas.append(alpha1)
     state.append_q(s / alpha1)
@@ -206,41 +209,35 @@ def wgkb_init(a, weight, b, max_steps=None):
     return state
 
 
-def wgkb_step(state, a, weight, reorth=True):
+def wgkb_step(state, a, weight):
     """Advance the recursion one step; returns the same state object.
 
-    With reorth set (the default), new vectors are reorthogonalized against
-    the full stored basis (two classical passes), which keeps the exactness
-    relations near machine precision on ill-conditioned problems.
+    Each new vector is reorthogonalized against the full stored basis (two
+    classical passes), which keeps the exactness relations near machine
+    precision on ill-conditioned problems; without it the bases lose
+    orthogonality and copies of converged singular values appear.
     """
     if state.terminated:
         raise RuntimeError("bidiagonalization already terminated")
-    i = state.k + 1
     pm, qm = state.P, state.Q
     q_last = qm[:, -1]
-    r = a @ q_last - state.alphas[-1] * pm[:, -1]
-    if reorth:
-        r = _reorth_left(r, pm)
+    r = _reorth_left(a @ q_last - state.alphas[-1] * pm[:, -1], pm)
     beta = _sqrt_dot(r)
     if beta <= BREAK_TOL * state.scale:
         state.betas.append(0.0)
         state.terminated = True
-        state.termination_step = i
         return state
     state.betas.append(beta)
     state.scale = max(state.scale, beta)
     p = r / beta
     state.append_p(p)
     sbar = a.T @ p - beta * weight.matvec(q_last)
-    s = weight.solve(sbar)
-    if reorth:
-        s = _reorth_right(s, qm, weight)
-        sbar = weight.matvec(s)
+    s = _reorth_right(weight.solve(sbar), qm, weight)
+    sbar = weight.matvec(s)
     alpha = _sqrt_dot(s, sbar)
     if alpha <= BREAK_TOL * state.scale:
         state.alphas.append(0.0)
         state.terminated = True
-        state.termination_step = i
         return state
     state.alphas.append(alpha)
     state.scale = max(state.scale, alpha)
@@ -248,13 +245,13 @@ def wgkb_step(state, a, weight, reorth=True):
     return state
 
 
-def wgkb_run(a, weight, b, steps, reorth=True):
+def wgkb_run(a, weight, b, steps):
     """The recursion from b, stepped until it terminates or has taken
     `steps` steps; the bases are sized once for that budget (see
     wgkb_init).  steps = 0 returns the state of wgkb_init."""
     state = wgkb_init(a, weight, b, max_steps=steps)
     while not state.terminated and state.k < steps:
-        wgkb_step(state, a, weight, reorth=reorth)
+        wgkb_step(state, a, weight)
     return state
 
 

@@ -52,7 +52,6 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: ["wlsqr"])
     tau: float = DEFAULT_TAU
     max_iter: int | None = None
-    reorth: bool = True
     paper_h: bool = False
     out: str = "."
 
@@ -71,7 +70,7 @@ class ExperimentConfig:
     def from_text(cls, text):
         """The config of to_text's key=value lines.  Each value is parsed by
         its field's annotation; a key that names no field (such as the jobs
-        line of older configs) is skipped."""
+        or reorth line of older configs) is skipped."""
         raw = dict(line.strip().partition("=")[::2] for line in text.splitlines()
                    if line.strip())
         return cls(**{f.name: _parse(f.type, f.name, raw[f.name])
@@ -108,7 +107,6 @@ def _build_parser():
                         help=f"discrepancy safety factor (default {DEFAULT_TAU})")
     common.add_argument("--max-iter", type=int)
     common.add_argument("--method", dest="methods", choices=METHODS, nargs="+")
-    common.add_argument("--reorth", choices=("on", "off"), help="default on")
     common.add_argument("--out", help="output directory (default .)")
     common.add_argument("--paper-h", action="store_true", default=None,
                         help="use the verbatim printed quadrature constant (t2-t1)/n")
@@ -138,8 +136,6 @@ def _build_parser():
 def _config_from_args(args):
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name) is not None}
-    if "reorth" in given:
-        given["reorth"] = given["reorth"] == "on"
     return ExperimentConfig(**given)
 
 
@@ -185,7 +181,7 @@ def _history(method, rule, problem, noisy, cfg, fact):
         return select(rule, twsvd_record(fact, noisy.b, problem.x_true, cfg.max_iter))
     weight = problem.weight if method == "wlsqr" else WeightMatrix.identity(problem.n)
     return spr_solve(problem.a, weight, noisy.b, rule, max_iter=cfg.max_iter,
-                     reorth=cfg.reorth, x_true=problem.x_true)[1]
+                     x_true=problem.x_true)[1]
 
 
 def _stop_error(record):
@@ -329,7 +325,7 @@ def cmd_lcurve(args):
     else:
         _, _, problem, noisy = _instance(cfg)
         _, record = spr_solve(problem.a, problem.weight, noisy.b, lc,
-                              max_iter=cfg.max_iter, reorth=cfg.reorth)
+                              max_iter=cfg.max_iter)
     # select gives index 0 on an empty history and raises on 1 to 4 points
     if record.ks.size == 0:
         raise ValueError("L-curve selection needs >= 5 points, got 0")
@@ -376,7 +372,7 @@ def cmd_triplets(args):
     if steps < 1:
         raise ValueError(f"--max-iter must be >= 1, got {steps}")
     _, _, problem, noisy = _instance(cfg)
-    state = wgkb_run(problem.a, problem.weight, noisy.b, steps, reorth=cfg.reorth)
+    state = wgkb_run(problem.a, problem.weight, noisy.b, steps)
     if state.k == 0:
         raise ValueError("recursion terminated before producing any triplets")
     trips = approx_triplets(state, min(args.count, state.k))

@@ -215,14 +215,15 @@ def low_rank_approx(fact, k):
     return (fact.u[:, :k] * fact.sigma[:k]) @ mv.T
 
 
-def _coefficients(fact, b):
+def _coefficients(fact, b, k=None):
+    """u_i^T b for the first k columns (k defaults to the rank), after
+    checking that b is a vector of length m."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] != fact.u.shape[0]:
         raise ValueError(
             f"right-hand side has shape {b.shape}, expected ({fact.u.shape[0]},)"
         )
-    r = fact.rank
-    return fact.u[:, :r].T @ b
+    return fact.u[:, :fact.rank if k is None else k].T @ b
 
 
 def min_m_norm_ls(fact, b):
@@ -236,7 +237,7 @@ def twsvd_solution(fact, b, k):
     """Truncated solution keeping the first k spectral terms; 1 <= k <= rank."""
     if not 1 <= k <= fact.rank:
         raise ValueError(f"k must satisfy 1 <= k <= rank ({fact.rank}), got {k}")
-    coef = (fact.u[:, :k].T @ np.asarray(b, dtype=float)) / fact.sigma[:k]
+    coef = _coefficients(fact, b, k) / fact.sigma[:k]
     return fact.v[:, :k] @ coef
 
 

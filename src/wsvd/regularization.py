@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decomposition import tikhonov_wsvd
+from .decomposition import _coefficients, tikhonov_wsvd
 from .solver import wlsqr_iterate, wlsqr_run
 from .weights import WeightMatrix
 
@@ -229,7 +229,7 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
-    ub = fact.u[:, :kmax].T @ b
+    ub = _coefficients(fact, b, kmax)
     coef = ub / fact.sigma[:kmax]
     res = np.sqrt(np.maximum(np.linalg.norm(b) ** 2 - np.cumsum(ub**2), 0.0))
     mnorms = np.sqrt(np.cumsum(coef**2))
@@ -247,16 +247,15 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
                      rule="maxiter", wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
-              keep_iterates=True):
+def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     """Regularized solve of min ||A x - b||_2 by early-stopped iteration.
 
     Returns (x, RunRecord).  x_true (defaulting to rule.x_true) enables the
     rel_errors history.  The dp rule stops the iteration eagerly at the first
     crossing; the other rules run to max_iter, and select picks the index
     from the history.  A selected earlier iterate is recovered from B_k by
-    wlsqr_iterate, so no iterate is stored and the solver runs once.
-    keep_iterates is accepted for compatibility and has no effect.
+    wlsqr_iterate, so no iterate is stored and the solver runs once.  The
+    recursion always reorthogonalizes fully (see wgkb_step).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -276,7 +275,7 @@ def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
             errs.append(float(np.linalg.norm(x - x_true) / x_true_norm))
         return thr is not None and (degenerate or res <= thr)
 
-    state = wlsqr_run(a, weight, b, max_iter=max_iter, reorth=reorth, callback=cb)
+    state = wlsqr_run(a, weight, b, max_iter=max_iter, callback=cb)
     record = select(rule, RunRecord(
         ks=np.arange(1, state.k + 1),
         residual_norms=np.asarray(state.residual_norms),
@@ -285,7 +284,7 @@ def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
         initial_residual=state.initial_residual,
         stop_index=state.k,
         rule="maxiter",
-        terminated_at=state.bidiag.termination_step if state.bidiag.terminated else None,
+        terminated_at=state.bidiag.termination_step,
     ))
     k = record.stop_index
     x = state.x if k == state.k else wlsqr_iterate(state.bidiag, k)
@@ -293,13 +292,11 @@ def spr_solve(a, weight, b, rule, max_iter=None, reorth=True, x_true=None,
     return x, record
 
 
-def lsqr_baseline(a, b, rule, max_iter=None, reorth=True, x_true=None,
-                  keep_iterates=True):
+def lsqr_baseline(a, b, rule, max_iter=None, x_true=None):
     """Unweighted baseline: the same driver at M = I (plain LSQR, 2-norms)."""
     a = np.asarray(a, dtype=float)
     return spr_solve(a, WeightMatrix.identity(a.shape[1]), b, rule,
-                     max_iter=max_iter, reorth=reorth, x_true=x_true,
-                     keep_iterates=keep_iterates)
+                     max_iter=max_iter, x_true=x_true)
 
 
 def tikhonov_opt(fact, b, x_true):

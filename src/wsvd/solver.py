@@ -24,7 +24,8 @@ class WlsqrState:
 
     residual_norms[k-1] is phibar_{k+1} = ||A x_k - b||_2 and
     solution_m_norms[k-1] is ||x_k||_M.  phibar_1 = ||b||_2 is available as
-    initial_residual.  done is set when the bidiagonalization terminates.
+    initial_residual.  done is true once the bidiagonalization has
+    terminated.
     """
 
     x: np.ndarray
@@ -34,11 +35,14 @@ class WlsqrState:
     bidiag: BidiagState
     residual_norms: list = field(default_factory=list)
     solution_m_norms: list = field(default_factory=list)
-    done: bool = False
 
     @property
     def k(self):
         return len(self.residual_norms)
+
+    @property
+    def done(self):
+        return self.bidiag.terminated
 
     @property
     def initial_residual(self):
@@ -56,8 +60,7 @@ def wlsqr_init(a, weight, b, max_steps=None):
     bid = wgkb_init(a, weight, b, max_steps=max_steps)
     x = np.zeros(a.shape[1])
     if bid.terminated:
-        return WlsqrState(x=x, w=None, phibar=bid.betas[0], rhobar=0.0,
-                          bidiag=bid, done=True)
+        return WlsqrState(x=x, w=None, phibar=bid.betas[0], rhobar=0.0, bidiag=bid)
     return WlsqrState(x=x, w=bid.Q[:, 0].copy(), phibar=bid.betas[0],
                       rhobar=bid.alphas[0], bidiag=bid)
 
@@ -71,17 +74,17 @@ def _rotate(rhobar, phibar, beta, alpha):
     return rho, s * alpha, c * phibar, -c * alpha, s * phibar
 
 
-def wlsqr_step(state, a, weight, reorth=True):
+def wlsqr_step(state, a, weight):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
     Returns the same state object.  A terminating bidiagonalization step
     still completes its solution update (with the missing alpha or beta
-    taken as zero) and then flags the state done.
+    taken as zero), after which the state is done.
     """
     if state.done:
         raise RuntimeError("solver already finished")
     bid = state.bidiag
-    wgkb_step(bid, a, weight, reorth=reorth)
+    wgkb_step(bid, a, weight)
     i = bid.k
     beta_next = bid.betas[i]
     alpha_next = bid.alphas[i] if len(bid.alphas) > i else 0.0
@@ -94,13 +97,12 @@ def wlsqr_step(state, a, weight, reorth=True):
     state.w = q_next - (theta_next / rho) * state.w if q_next is not None else None
     state.residual_norms.append(state.phibar)
     state.solution_m_norms.append(weight.norm(state.x))
-    if bid.terminated:
-        state.done = True
     return state
 
 
-def wlsqr_run(a, weight, b, max_iter=None, reorth=True, callback=None):
-    """Run the solver until termination or max_iter steps.
+def wlsqr_run(a, weight, b, max_iter=None, callback=None):
+    """Run the solver until termination or max_iter steps.  Every step
+    reorthogonalizes fully (see wgkb_step).
 
     max_iter defaults to min(m, n, 200) and is also the step budget that
     sizes the bases once (see wgkb_init).
@@ -116,7 +118,7 @@ def wlsqr_run(a, weight, b, max_iter=None, reorth=True, callback=None):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     state = wlsqr_init(a, weight, b, max_steps=max_iter)
     while not state.done and state.k < max_iter:
-        wlsqr_step(state, a, weight, reorth=reorth)
+        wlsqr_step(state, a, weight)
         if callback is not None and callback(
             state.k, state.x, state.phibar, state.solution_m_norms[-1]
         ):

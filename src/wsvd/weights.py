@@ -87,15 +87,16 @@ class WeightMatrix:
         a = self._matrix
         if a.shape[0] == 0:
             raise ValueError("weight matrix must be at least 1x1")
+        # Factor with M = L^T L and L lower triangular: the flipped Cholesky
+        # L = (J C J)^T where J M J = C C^T and J is the exchange matrix.  Its
+        # pivots run up from the last row of M, so a failing j-th leading
+        # minor of J M J names row n - j of M.
         try:
-            scipy.linalg.cholesky(a, lower=True, check_finite=False)
+            c = scipy.linalg.cholesky(a[::-1, ::-1], lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             hit = re.search(r"(\d+)", str(exc))
-            pivot = f" (pivot {int(hit.group(1)) - 1})" if hit else ""
+            pivot = f" (pivot {a.shape[0] - int(hit.group(1))})" if hit else ""
             raise ValueError(f"not positive definite{pivot}") from exc
-        # Factor with M = L^T L and L lower triangular: the flipped Cholesky
-        # L = (J C J)^T where J M J = C C^T and J is the exchange matrix.
-        c = scipy.linalg.cholesky(a[::-1, ::-1], lower=True, check_finite=False)
         self._factor = c[::-1, ::-1].T
         d = np.abs(np.diag(self._factor))
         cond = (d.max() / d.min()) ** 2

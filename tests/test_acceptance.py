@@ -49,7 +49,7 @@ def run_collect(a, weight, b, steps):
 def histories(problem, noisy, weight, max_iter):
     rule = StoppingRule("maxiter")
     _, rec = spr_solve(problem.a, weight, noisy.b, rule, max_iter=max_iter,
-                       x_true=problem.x_true, keep_iterates=False)
+                       x_true=problem.x_true)
     return rec
 
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, add_noise, approx_triplets, bidiag, build_problem,
+from wsvd import (WeightMatrix, add_noise, approx_triplets, build_problem,
                   project_bidiagonal, weighted_operator_norm, wgkb_init, wgkb_run,
                   wgkb_step, wsvd)
 
 from test_weights import random_spd
 
 
-def run_steps(a, weight, b, steps, reorth=True):
+def run_steps(a, weight, b, steps):
     state = wgkb_init(a, weight, b)
     while not state.terminated and state.k < steps:
-        wgkb_step(state, a, weight, reorth=reorth)
+        wgkb_step(state, a, weight)
     return state
 
 
@@ -241,12 +241,6 @@ def test_residual_bound_zero_after_termination():
         assert t.residual_bound <= 1e-10 * trips[0].sigma_bar
 
 
-def test_no_reorth_still_runs():
-    a, weight, b = setup_random(45)
-    state = run_steps(a, weight, b, 5, reorth=False)
-    assert state.k == 5
-
-
 # -- column buffers -----------------------------------------------------------
 
 def reference_wgkb(a, weight, b, steps):
@@ -368,20 +362,6 @@ def test_run_stops_at_a_terminating_step():
     assert state.terminated and state.k == state.termination_step < 64
 
 
-def test_run_passes_reorth_to_every_step(monkeypatch):
-    a, weight, b = setup_random(49)
-    seen = []
-    original = bidiag.wgkb_step
-
-    def spy(state, a, weight, reorth=True):
-        seen.append(reorth)
-        return original(state, a, weight, reorth=reorth)
-
-    monkeypatch.setattr(bidiag, "wgkb_step", spy)
-    state = wgkb_run(a, weight, b, 4, reorth=False)
-    assert state.k == 4 and seen == [False] * 4
-
-
 def test_run_of_zero_steps_is_the_init_state():
     a, weight, b = setup_random(50)
     state = wgkb_run(a, weight, b, 0)
@@ -391,13 +371,12 @@ def test_run_of_zero_steps_is_the_init_state():
     assert np.array_equal(state.P, init.P) and np.array_equal(state.Q, init.Q)
 
 
-@pytest.mark.parametrize("reorth", [True, False])
-def test_run_is_bit_identical_to_the_hand_loop(reorth):
+def test_run_is_bit_identical_to_the_hand_loop():
     a, weight, b = setup_random(51, dense_weight=False)
     hand = wgkb_init(a, weight, b, max_steps=12)
     while not hand.terminated and hand.k < 12:
-        wgkb_step(hand, a, weight, reorth=reorth)
-    state = wgkb_run(a, weight, b, 12, reorth=reorth)
+        wgkb_step(hand, a, weight)
+    state = wgkb_run(a, weight, b, 12)
     assert state.alphas == hand.alphas and state.betas == hand.betas
     assert np.array_equal(state.P, hand.P) and np.array_equal(state.Q, hand.Q)
     assert (state.terminated, state.termination_step) == (hand.terminated,

@@ -21,14 +21,14 @@ def test_config_round_trip():
     cfg = ExperimentConfig(problem="green", m=77, n=None,
                            epsilons=[3.2e-2, 1e-3], seeds=[0, 4],
                            rules=["dp", "lc"], methods=["wlsqr", "twsvd"],
-                           tau=1.05, max_iter=44, reorth=False,
-                           paper_h=True, out="somewhere")
+                           tau=1.05, max_iter=44, paper_h=True, out="somewhere")
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_config_with_a_jobs_line_still_loads():
-    # configs written while the sweep had a --jobs option carry a jobs line;
-    # an unknown key is skipped, so they load as the same config without it
+    # configs written while the sweep had a --jobs option carry a jobs line,
+    # and those written while the CLI had --reorth a reorth line; an unknown
+    # key is skipped, so they load as the same config without it
     text = ("problem=phillips\nm=None\nn=None\nepsilons=0.032,0.001\nseeds=0\n"
             "rules=dp,lc,oracle\nmethods=wlsqr,lsqr\ntau=1.01\nmax_iter=100\n"
             "reorth=True\npaper_h=False\njobs=4\nout=results\n")
@@ -41,8 +41,8 @@ def test_config_with_a_jobs_line_still_loads():
 
 
 def test_config_rejects_a_boolean_spelled_otherwise():
-    with pytest.raises(ValueError, match="reorth"):
-        ExperimentConfig.from_text("problem=shaw\nreorth=true\n")
+    with pytest.raises(ValueError, match="paper_h"):
+        ExperimentConfig.from_text("problem=shaw\npaper_h=true\n")
 
 
 def test_config_round_trip_defaults():
@@ -417,6 +417,15 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["solve", "--problem", "shaw", *SMALL,
                  "--epsilon", "1e-2", "1e-3", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["on", "off"])
+def test_reorth_option_is_gone(tmp_path, capsys, monkeypatch, value):
+    # the recursion always reorthogonalizes, so --reorth is a usage error
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    assert main(["triplets", "--problem", "shaw", "--m", "60", "--n", "41",
+                 "--epsilon", "0", "--reorth", value, "--out", str(tmp_path)]) == 1
+    assert "--reorth" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_error(tmp_path, capsys):

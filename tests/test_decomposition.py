@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from wsvd import (WeightMatrix, add_noise, build_problem, covers, low_rank_approx,
-                  min_m_norm_ls, tikhonov_wsvd, twsvd_solution,
+                  min_m_norm_ls, tikhonov_wsvd, twsvd_record, twsvd_solution,
                   weighted_operator_norm, wsvd)
 
 from test_weights import random_spd
@@ -249,8 +250,14 @@ def test_krylov_route_factors_entries_near_overflow(a, start):
 
 def test_solution_b_shape_validation():
     f = wsvd(np.eye(3), WeightMatrix.identity(3))
-    with pytest.raises(ValueError):
-        min_m_norm_ls(f, np.ones(4))
+    solvers = (min_m_norm_ls, lambda f, b: tikhonov_wsvd(f, b, 0.1),
+               lambda f, b: twsvd_solution(f, b, 2),
+               lambda f, b: twsvd_record(f, b, max_iter=2))
+    for solve in solvers:
+        for shape in [(4,), (3, 2)]:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"has shape {shape}, expected (3,)")):
+                solve(f, np.ones(shape))
 
 
 # -- the Krylov route (a starting vector) ------------------------------------

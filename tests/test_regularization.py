@@ -185,20 +185,6 @@ def test_recovered_iterate_matches_callback(shaw_small):
     assert np.linalg.norm(x_sel - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_keep_iterates_is_a_no_op(shaw_small):
-    problem, noisy = shaw_small
-    rule = StoppingRule("lc")
-    x1, r1 = spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=30,
-                       x_true=problem.x_true)
-    x2, r2 = spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=30,
-                       x_true=problem.x_true, keep_iterates=False)
-    assert np.array_equal(x1, x2)
-    for name in ("ks", "residual_norms", "solution_m_norms", "rel_errors"):
-        assert np.array_equal(getattr(r1, name), getattr(r2, name))
-    assert (r1.stop_index, r1.satisfied, r1.degenerate, r1.terminated_at) == \
-        (r2.stop_index, r2.satisfied, r2.degenerate, r2.terminated_at)
-
-
 def _orthogonal_case():
     # A maps onto span(e1); b along e2 is orthogonal to its range
     a = np.zeros((6, 5))

@@ -33,3 +33,13 @@ def test_only_bidiag_and_solver_step_the_recursion(path):
 
 def test_the_cli_runs_no_engine_loop_of_its_own():
     assert not called_names(SRC / "cli.py") & {"wgkb_step", "wgkb_init", "wlsqr_run"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_reorth_or_keep_iterates_switch(path):
+    # the recursion always reorthogonalizes fully and never stores iterates
+    params = {arg.arg
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    assert not params & {"reorth", "keep_iterates"}

@@ -50,6 +50,27 @@ def test_dense_rejects_indefinite():
         WeightMatrix.dense(bad)
 
 
+@pytest.mark.parametrize("diag, pivot", [([1.0, 1.0, -1.0], 2), ([-1.0, 1.0, 1.0], 0)])
+def test_dense_names_the_failing_row(diag, pivot):
+    with pytest.raises(ValueError, match=rf"not positive definite \(pivot {pivot}\)"):
+        WeightMatrix.dense(np.diag(diag))
+
+
+def test_dense_factors_once(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.cholesky
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+    WeightMatrix.dense(random_spd(np.random.default_rng(7), 5))
+    assert len(calls) == 1
+
+
 def test_dense_rejects_nonfinite():
     with pytest.raises(ValueError):
         WeightMatrix.dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
