@@ -35,26 +35,20 @@ class ApproxTriplet:
     residual_bound: float
 
 
-# Columns a basis buffer starts with when the run has no step budget.
-_INITIAL_COLUMNS = 32
-
-
 @dataclass
 class BidiagState:
     """State of the recursion after k completed steps.
 
-    alphas holds alpha_1..alpha_{k+1} and betas holds beta_1..beta_{k+1}
-    (trailing entries may be missing or zero when the recursion terminated
-    mid-step).  Each step appends exactly one beta, so k = len(betas) - 1.
+    alphas holds alpha_1..alpha_{k+1} and betas holds beta_1..beta_{k+1},
+    so len(alphas) == len(betas) == k + 1.  A terminating step records the
+    value it could not compute as 0.0: alpha_{k+1} = 0.0 at an alpha
+    breakdown, and beta_{k+1} = alpha_{k+1} = 0.0 at a beta breakdown.
 
-    The basis vectors live as columns of two F-ordered buffers, m x cap and
-    n x cap.  wgkb_init sizes them once from the caller's step budget (k
-    steps fill k + 1 columns of each); without a budget they start at 32
-    columns, and a full buffer, budgeted or not, doubles.  P and Q are
-    read-only views of their filled columns; ps and qs are the same views
-    transposed, so ps[i] is p_{i+1} and qs[i] is q_{i+1}.  A view taken
-    before the buffer grows keeps the old buffer, so take views after
-    stepping.
+    The basis vectors live as columns of two F-ordered buffers, allocated
+    once by wgkb_init with cap = min(max_steps, m, n) + 1 columns; k steps
+    fill k + 1 columns of each, less the vectors a breakdown could not form.
+    P and Q are read-only views of their filled columns; ps and qs are the
+    same views transposed, so ps[i] is p_{i+1} and qs[i] is q_{i+1}.
     """
 
     p_buf: np.ndarray
@@ -96,14 +90,12 @@ class BidiagState:
         return self.Q.T
 
     def append_p(self, p):
-        """Store p as the next left basis column, growing the buffer if full."""
-        self.p_buf = _with_room(self.p_buf, self.p_count)
+        """Store p as the next left basis column."""
         self.p_buf[:, self.p_count] = p
         self.p_count += 1
 
     def append_q(self, q):
-        """Store q as the next right basis column, growing the buffer if full."""
-        self.q_buf = _with_room(self.q_buf, self.q_count)
+        """Store q as the next right basis column."""
         self.q_buf[:, self.q_count] = q
         self.q_count += 1
 
@@ -112,16 +104,6 @@ def _view(buf, cols):
     view = buf[:, :cols]
     view.flags.writeable = False
     return view
-
-
-def _with_room(buf, used):
-    """buf itself while it has a free column past `used`, else a copy with
-    twice the columns."""
-    if used < buf.shape[1]:
-        return buf
-    grown = np.empty((buf.shape[0], 2 * buf.shape[1]), order="F")
-    grown[:, :used] = buf
-    return grown
 
 
 def _max_abs(x):
@@ -162,16 +144,15 @@ def _reorth_right(s, qm, weight):
 def wgkb_init(a, weight, b, max_steps=None):
     """First vectors of the recursion.
 
-    max_steps is the number of steps the caller will take at most.  With it,
-    each basis buffer is allocated once with min(max_steps, m, n) + 1
-    columns, which a run of that many steps fills without growing (the
-    recursion terminates within min(m, n) steps in exact arithmetic); a run
-    that steps further still works, its buffers doubling as without a
-    budget.  Raises ValueError for a negative max_steps, for b = 0 and for
-    non-finite entries in b or A.  A is not scanned: any NaN or inf in it
-    reaches A^T p_1 (NaN * 0 and inf * 0 are NaN), which is checked
-    instead.  If b is orthogonal to the range of A (alpha_1 = 0) the
-    returned state is already terminated with termination_step 0.
+    max_steps is the number of steps the caller will take at most; None
+    means min(m, n), within which the recursion terminates in exact
+    arithmetic.  Each basis buffer is allocated once with min(max_steps, m,
+    n) + 1 columns; a step past that budget raises RuntimeError.  Raises
+    ValueError for a negative max_steps, for b = 0 and for non-finite
+    entries in b or A.  A is not scanned: any NaN or inf in it reaches
+    A^T p_1 (NaN * 0 and inf * 0 are NaN), which is checked instead.  If b
+    is orthogonal to the range of A the returned state is already
+    terminated with termination_step 0 and alphas == [0.0].
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -195,12 +176,13 @@ def wgkb_init(a, weight, b, max_steps=None):
     s = weight.solve(sbar)
     alpha1 = _sqrt_dot(s, sbar)
     m, n = a.shape
-    cols = _INITIAL_COLUMNS if max_steps is None else min(max_steps, m, n) + 1
+    cols = (min(m, n) if max_steps is None else min(max_steps, m, n)) + 1
     state = BidiagState(p_buf=np.empty((m, cols), order="F"),
                         q_buf=np.empty((n, cols), order="F"), betas=[beta1])
     state.append_p(p1)
     # no bidiagonal scale exists yet; compare against the matrix scale
     if alpha1 <= _sqrt_dot(a.ravel(order="K"), factor=BREAK_TOL):
+        state.alphas.append(0.0)
         state.terminated = True
         return state
     state.alphas.append(alpha1)
@@ -215,16 +197,21 @@ def wgkb_step(state, a, weight):
     Each new vector is reorthogonalized against the full stored basis (two
     classical passes), which keeps the exactness relations near machine
     precision on ill-conditioned problems; without it the bases lose
-    orthogonality and copies of converged singular values appear.
+    orthogonality and copies of converged singular values appear.  A step
+    past the budget the bases were sized for raises RuntimeError and leaves
+    the state unchanged.
     """
     if state.terminated:
         raise RuntimeError("bidiagonalization already terminated")
+    if state.p_count == state.p_buf.shape[1]:
+        raise RuntimeError(f"step {state.k + 1} is past the budget of {state.k} steps")
     pm, qm = state.P, state.Q
     q_last = qm[:, -1]
     r = _reorth_left(a @ q_last - state.alphas[-1] * pm[:, -1], pm)
     beta = _sqrt_dot(r)
     if beta <= BREAK_TOL * state.scale:
         state.betas.append(0.0)
+        state.alphas.append(0.0)
         state.terminated = True
         return state
     state.betas.append(beta)
@@ -260,7 +247,7 @@ def project_bidiagonal(state, k=None):
     and subdiagonal beta_2..beta_{k+1}; k defaults to the completed step count."""
     if k is None:
         k = state.k
-    if not 1 <= k <= state.k or len(state.alphas) < k:
+    if not 1 <= k <= state.k:
         raise ValueError(f"k must satisfy 1 <= k <= {state.k}, got {k}")
     b = np.zeros((k + 1, k))
     idx = np.arange(k)
@@ -289,16 +276,16 @@ def approx_triplets(state, count):
 
     The compact SVD of B_k gives B_k = Y Theta H^T; the triplets are
     (theta_i, P y_i, Q h_i) with the residual bound
-    |alpha_{k+1} * (last entry of y_i)| certifying convergence.  Returned in
-    decreasing sigma_bar order.
+    |alpha_{k+1} * (last entry of y_i)| certifying convergence; alpha_{k+1}
+    is 0.0 once the recursion has terminated, so every bound is then 0.
+    Returned in decreasing sigma_bar order.
     """
     k = state.k
     if not 1 <= count <= k:
         raise ValueError(f"count must satisfy 1 <= count <= {k}, got {count}")
     theta, u, v, y_last = _lifted_svd(state, count)
-    alpha_next = state.alphas[k] if len(state.alphas) > k else 0.0
     return [
         ApproxTriplet(sigma_bar=float(theta[i]), u_bar=u[:, i], v_bar=v[:, i],
-                      residual_bound=abs(alpha_next * y_last[i]))
+                      residual_bound=abs(state.alphas[k] * y_last[i]))
         for i in range(count)
     ]

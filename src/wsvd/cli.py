@@ -306,11 +306,17 @@ def cmd_sweep(args):
 
 def _points_record(path):
     """The RunRecord of a CSV of k,res_norm,sol_mnorm rows (a header or blank
-    line is skipped); ks keeps the file's k column."""
+    line is skipped).  The k column must run 1..N, as RunRecord.ks does;
+    ValueError names the first row where it does not."""
     with open(path) as fh:
         rows = [line.split(",") for line in map(str.strip, fh)
                 if line and not line.startswith("k,")]
-    return RunRecord(ks=np.array([int(r[0]) for r in rows], dtype=int),
+    ks = np.array([int(r[0]) for r in rows], dtype=int)
+    bad = np.flatnonzero(ks != np.arange(1, ks.size + 1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} has k = {ks[bad[0]]}; "
+                         f"the k column must run 1..{ks.size}")
+    return RunRecord(ks=ks,
                      residual_norms=np.array([float(r[1]) for r in rows]),
                      solution_m_norms=np.array([float(r[2]) for r in rows]),
                      rel_errors=None, initial_residual=float("nan"),

@@ -224,8 +224,10 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
 
     Residual norms come from the expansion, ||b||^2 - sum_{i<=k} (u_i^T b)^2,
     M-norms from the coefficients, and rel_errors (when x_true is given)
-    from the iterates themselves.
+    from the iterates themselves.  Raises ValueError for a max_iter below 1.
     """
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
@@ -261,19 +263,17 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     b = np.asarray(b, dtype=float)
     if x_true is None:
         x_true = rule.x_true
-    if rule.kind == "oracle" and x_true is None:
-        raise ValueError("oracle selection needs x_true")
     x_true_norm = np.linalg.norm(x_true) if x_true is not None else None
     t0 = time.perf_counter()
 
     errs = [] if x_true is not None else None
     thr = rule.tau * rule.noise_norm if rule.kind == "dp" else None
-    degenerate = thr is not None and float(np.linalg.norm(b)) <= thr
 
     def cb(k, x, res, mnorm):
         if errs is not None:
             errs.append(float(np.linalg.norm(x - x_true) / x_true_norm))
-        return thr is not None and (degenerate or res <= thr)
+        # phibar never increases, so a threshold met at x_0 stops at step 1
+        return thr is not None and res <= thr
 
     state = wlsqr_run(a, weight, b, max_iter=max_iter, callback=cb)
     record = select(rule, RunRecord(

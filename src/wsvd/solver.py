@@ -52,16 +52,14 @@ class WlsqrState:
 def wlsqr_init(a, weight, b, max_steps=None):
     """x_0 = 0 with w_1 = q_1, phibar_1 = beta_1, rhobar_1 = alpha_1.
 
-    max_steps is the step budget that sizes the bases (see wgkb_init).  If b
-    is orthogonal to the range of A the state is immediately done and x = 0
-    is the solution.
+    max_steps is the step budget that sizes the bases, min(m, n) when None
+    (see wgkb_init).  If b is orthogonal to the range of A the state is
+    immediately done, with alpha_1 = 0.0, and x = 0 is the solution.
     """
     a = np.asarray(a, dtype=float)
     bid = wgkb_init(a, weight, b, max_steps=max_steps)
-    x = np.zeros(a.shape[1])
-    if bid.terminated:
-        return WlsqrState(x=x, w=None, phibar=bid.betas[0], rhobar=0.0, bidiag=bid)
-    return WlsqrState(x=x, w=bid.Q[:, 0].copy(), phibar=bid.betas[0],
+    w = None if bid.terminated else bid.Q[:, 0].copy()
+    return WlsqrState(x=np.zeros(a.shape[1]), w=w, phibar=bid.betas[0],
                       rhobar=bid.alphas[0], bidiag=bid)
 
 
@@ -78,23 +76,18 @@ def wlsqr_step(state, a, weight):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
     Returns the same state object.  A terminating bidiagonalization step
-    still completes its solution update (with the missing alpha or beta
-    taken as zero), after which the state is done.
+    still completes its solution update (the recursion records the alpha or
+    beta it could not compute as 0.0), after which the state is done.
     """
     if state.done:
         raise RuntimeError("solver already finished")
     bid = state.bidiag
     wgkb_step(bid, a, weight)
     i = bid.k
-    beta_next = bid.betas[i]
-    alpha_next = bid.alphas[i] if len(bid.alphas) > i else 0.0
-    q = bid.Q
-    q_next = q[:, i] if q.shape[1] > i else None
-
     rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
-        state.rhobar, state.phibar, beta_next, alpha_next)
+        state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
     state.x = state.x + (phi / rho) * state.w
-    state.w = q_next - (theta_next / rho) * state.w if q_next is not None else None
+    state.w = None if bid.terminated else bid.Q[:, i] - (theta_next / rho) * state.w
     state.residual_norms.append(state.phibar)
     state.solution_m_norms.append(weight.norm(state.x))
     return state
@@ -136,13 +129,11 @@ def wlsqr_iterate(bidiag, k):
     """
     if not 1 <= k <= bidiag.k:
         raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
-    alphas = bidiag.alphas
-    rhobar, phibar = alphas[0], bidiag.betas[0]
+    rhobar, phibar = bidiag.alphas[0], bidiag.betas[0]
     rho, theta, phi = np.empty(k), np.empty(k), np.empty(k)
     for i in range(k):
-        alpha = alphas[i + 1] if len(alphas) > i + 1 else 0.0
         rho[i], theta[i], phi[i], rhobar, phibar = _rotate(
-            rhobar, phibar, bidiag.betas[i + 1], alpha)
+            rhobar, phibar, bidiag.betas[i + 1], bidiag.alphas[i + 1])
     y = np.empty(k)
     y[-1] = phi[-1] / rho[-1]
     for i in range(k - 2, -1, -1):

@@ -81,7 +81,7 @@ def test_factorization_relations():
     # M^{-1} A^T P_{k+1} = Q_k B_k^T + alpha_{k+1} q_{k+1} e_{k+1}^T
     lhs = weight.solve(a.T @ p)
     rhs = q[:, :k] @ bk.T
-    if len(state.alphas) > k and len(state.qs) > k:
+    if len(state.qs) > k:
         rhs = rhs.copy()
         rhs[:, k] += state.alphas[k] * state.qs[k]
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * sigma1
@@ -280,12 +280,12 @@ def reference_wgkb(a, weight, b, steps):
 
 @pytest.fixture(scope="module")
 def phillips_70():
-    # 70 steps pass the buffer's first two growths (32 and 64 columns)
+    # without a budget the bases are sized for min(m, n) = 101 steps
     problem = build_problem("phillips", 120, 101)
     b = add_noise(problem, 1e-3, 0).b
     state = run_steps(problem.a, problem.weight, b, 70)
     assert state.k == 70 and not state.terminated
-    assert state.p_buf.shape[1] > 64 and state.q_buf.shape[1] > 64
+    assert state.p_buf.shape == (120, 102) and state.q_buf.shape == (101, 102)
     return problem, b, state
 
 
@@ -328,17 +328,50 @@ def test_step_within_capacity_copies_no_basis():
 
 
 
-def test_a_budget_sizes_the_bases_and_a_longer_run_still_grows():
+def test_a_step_past_the_budget_raises():
     a, weight, b = setup_random(47)
-    free = run_steps(a, weight, b, 5)
     state = wgkb_init(a, weight, b, max_steps=2)
     assert state.p_buf.shape == (30, 3) and state.q_buf.shape == (20, 3)
-    for _ in range(5):
+    for _ in range(2):
         wgkb_step(state, a, weight)
-    # past its budget the run takes the growth path, with the same numbers
-    assert state.p_buf.shape[1] >= 6 and state.q_buf.shape[1] >= 6
-    assert state.alphas == free.alphas and state.betas == free.betas
-    assert np.array_equal(state.P, free.P) and np.array_equal(state.Q, free.Q)
+    alphas, betas, p, q = list(state.alphas), list(state.betas), state.P, state.Q
+    with pytest.raises(RuntimeError, match="step 3 is past the budget of 2 steps"):
+        wgkb_step(state, a, weight)
+    assert state.k == 2 and not state.terminated
+    assert state.alphas == alphas and state.betas == betas
+    assert np.array_equal(state.P, p) and np.array_equal(state.Q, q)
+
+
+def orthogonal_start():
+    # A maps onto span(e1) and b = e2: alpha_1 = 0
+    a = np.zeros((4, 3))
+    a[0, 0] = 1.0
+    return a, np.array([0.0, 1.0, 0.0, 0.0])
+
+
+def beta_breakdown():
+    # rank one with b along its range: beta_2 = 0
+    rng = np.random.default_rng(38)
+    u = rng.standard_normal(12)
+    return np.outer(u, rng.standard_normal(9)), u
+
+
+def alpha_breakdown():
+    # two columns and b off their span: q_3 has no room left, alpha_3 = 0
+    rng = np.random.default_rng(52)
+    return rng.standard_normal((6, 2)), rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("case, k", [(orthogonal_start, 0), (beta_breakdown, 1),
+                                     (alpha_breakdown, 2)],
+                         ids=["orthogonal-start", "beta-breakdown", "alpha-breakdown"])
+def test_a_terminated_run_stores_alpha_next_as_zero(case, k):
+    a, b = case()
+    state = run_steps(a, WeightMatrix.identity(a.shape[1]), b, 10)
+    assert state.terminated and state.k == k
+    assert len(state.alphas) == len(state.betas) == k + 1
+    assert state.alphas[k] == 0.0
+    assert (state.betas[k] == 0.0) == (case is beta_breakdown)
 
 
 def test_init_rejects_a_negative_budget():

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsvd import (add_noise, build_problem, cli, decomposition, load_problem, stop_dp,
-                  stop_lcurve, stop_oracle, tikhonov_opt, twsvd_solution)
+from wsvd import (StoppingRule, add_noise, build_problem, cli, decomposition,
+                  load_problem, spr_solve, stop_dp, stop_lcurve, stop_oracle,
+                  tikhonov_opt, twsvd_solution)
 from wsvd.cli import ExperimentConfig, _error_status, main
 
 
@@ -362,6 +363,58 @@ def test_lcurve_points_empty_file(tmp_path, capsys):
     assert main(["lcurve", "--points", str(pts), "--out", str(tmp_path)]) == 1
     assert "needs >= 5 points, got 0" in capsys.readouterr().err
     assert not (tmp_path / "lcurve.csv").exists()
+
+
+LC_ARGS = ["--problem", "shaw", *SMALL, "--epsilon", "1e-2", "--seed", "0",
+           "--max-iter", "15"]
+
+
+@pytest.fixture(scope="module")
+def shaw_lc_history():
+    # the 15-point lc history of LC_ARGS, corner at k = 6
+    problem = build_problem("shaw", 120, 101)
+    noisy = add_noise(problem, 1e-2, 0)
+    _, record = spr_solve(problem.a, problem.weight, noisy.b, StoppingRule("lc"),
+                          max_iter=15)
+    assert record.stop_index == 6
+    return record
+
+
+def write_points(path, record, first_k):
+    with open(path, "w") as fh:
+        fh.write("k,res_norm,sol_mnorm\n")
+        for i, (r, mn) in enumerate(zip(record.residual_norms, record.solution_m_norms)):
+            fh.write(f"{first_k + i},{float(r)!r},{float(mn)!r}\n")
+
+
+def test_lcurve_points_of_a_run_write_the_run_csv(tmp_path, capsys, shaw_lc_history):
+    write_points(tmp_path / "pts.csv", shaw_lc_history, 1)
+    assert main(["lcurve", *LC_ARGS, "--out", str(tmp_path / "run")]) == 0
+    assert main(["lcurve", "--points", str(tmp_path / "pts.csv"),
+                 "--out", str(tmp_path / "pts")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "pts" / "lcurve.csv").read_text()
+    assert text == (tmp_path / "run" / "lcurve.csv").read_text()
+    corner = [line for line in text.splitlines() if line.endswith(",true")]
+    assert len(corner) == 1 and corner[0].startswith("6,")
+
+
+@pytest.mark.parametrize("first_k", [0, 10])
+def test_lcurve_points_rejects_a_k_column_not_counting_from_one(tmp_path, capsys,
+                                                                shaw_lc_history, first_k):
+    write_points(tmp_path / "pts.csv", shaw_lc_history, first_k)
+    assert main(["lcurve", "--points", str(tmp_path / "pts.csv"),
+                 "--out", str(tmp_path)]) == 1
+    assert f"data row 1 has k = {first_k}" in capsys.readouterr().err
+    assert not (tmp_path / "lcurve.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_solve_twsvd_rejects_a_max_iter_below_one(tmp_path, capsys, value):
+    assert main(["solve", "--problem", "shaw", "--m", "60", "--n", "41",
+                 "--method", "twsvd", "--rule", "dp", "--max-iter", value,
+                 "--out", str(tmp_path)]) == 1
+    assert f"max_iter must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_wsvd_dump(tmp_path, capsys):

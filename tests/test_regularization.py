@@ -255,6 +255,13 @@ def test_twsvd_record_matches_the_expansions(shaw_small):
     assert twsvd_record(fact, noisy.b).rel_errors is None
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_twsvd_record_rejects_a_max_iter_below_one(max_iter):
+    fact = wsvd(np.diag([3.0, 2.0, 1.0]), WeightMatrix.identity(3))
+    with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+        twsvd_record(fact, np.ones(3), max_iter=max_iter)
+
+
 def test_spr_deterministic(shaw_small):
     problem, noisy = shaw_small
     rule = StoppingRule("dp", noise_norm=float(np.linalg.norm(noisy.e)))

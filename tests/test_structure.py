@@ -43,3 +43,16 @@ def test_no_function_takes_a_reorth_or_keep_iterates_switch(path):
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
     assert not params & {"reorth", "keep_iterates"}
+
+
+def test_every_engine_init_passes_its_step_budget():
+    # only direct API callers get the min(m, n) default of wgkb_init
+    calls = [(path.name, node)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("wgkb_init", "wlsqr_init")]
+    assert len(calls) >= 3
+    for name, node in calls:
+        assert "max_steps" in {kw.arg for kw in node.keywords}, (name, node.lineno)
