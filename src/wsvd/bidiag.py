@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import WeightMatrix
+from .weights import _sqrt_dot
 
 # Relative breakdown threshold against the running bidiagonal scale, which
 # is a factor-2 proxy for sigma_1(B_k).
@@ -47,8 +47,8 @@ class BidiagState:
     The basis vectors live as columns of two F-ordered buffers, allocated
     once by wgkb_init with cap = min(max_steps, m, n) + 1 columns; k steps
     fill k + 1 columns of each, less the vectors a breakdown could not form.
-    P and Q are read-only views of their filled columns; ps and qs are the
-    same views transposed, so ps[i] is p_{i+1} and qs[i] is q_{i+1}.
+    P and Q are read-only views of their filled columns, so P[:, i] is
+    p_{i+1} and Q[:, i] is q_{i+1}.
     """
 
     p_buf: np.ndarray
@@ -79,16 +79,6 @@ class BidiagState:
         """Right basis as columns, n x q_count, a read-only view."""
         return _view(self.q_buf, self.q_count)
 
-    @property
-    def ps(self):
-        """Left basis vectors as rows (P transposed), read-only."""
-        return self.P.T
-
-    @property
-    def qs(self):
-        """Right basis vectors as rows (Q transposed), read-only."""
-        return self.Q.T
-
     def append_p(self, p):
         """Store p as the next left basis column."""
         self.p_buf[:, self.p_count] = p
@@ -104,27 +94,6 @@ def _view(buf, cols):
     view = buf[:, :cols]
     view.flags.writeable = False
     return view
-
-
-def _max_abs(x):
-    return max(-float(x.min()), float(x.max()))
-
-
-def _sqrt_dot(x, y=None, factor=1.0):
-    """factor * sqrt(max(x^T y, 0)) with y defaulting to x, so a multiple of
-    ||x||_2 or, for y = M x, of ||x||_M.  Only when the plain product
-    overflows is it recomputed from x and y scaled by their largest
-    magnitudes, so every in-range value keeps the bits of the plain formula
-    and a small factor brings an out-of-range norm back into range."""
-    with np.errstate(over="ignore"):
-        sq = float(x @ (x if y is None else y))
-    if not np.isinf(sq):
-        return factor * float(np.sqrt(max(sq, 0.0)))
-    cx = _max_abs(x)
-    cy = cx if y is None else _max_abs(y)
-    xs = x / cx
-    sq = xs @ (xs if y is None else y / cy)
-    return float(factor * np.sqrt(cx) * np.sqrt(cy) * np.sqrt(max(sq, 0.0)))
 
 
 def _reorth_left(r, pm):

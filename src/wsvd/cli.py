@@ -52,7 +52,6 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: ["wlsqr"])
     tau: float = DEFAULT_TAU
     max_iter: int | None = None
-    paper_h: bool = False
     out: str = "."
 
     def to_text(self):
@@ -73,23 +72,18 @@ class ExperimentConfig:
         or reorth line of older configs) is skipped."""
         raw = dict(line.strip().partition("=")[::2] for line in text.splitlines()
                    if line.strip())
-        return cls(**{f.name: _parse(f.type, f.name, raw[f.name])
+        return cls(**{f.name: _parse(f.type, raw[f.name])
                       for f in fields(cls) if f.name in raw})
 
 
-def _parse(kind, name, text):
-    """text as a value of the annotation kind.  A list[T] is comma-separated,
-    an X | None reads "None" as None, and a bool must read exactly True or
-    False, or ValueError names the field."""
+def _parse(kind, text):
+    """text as a value of the annotation kind.  A list[T] is comma-separated
+    and an X | None reads "None" as None."""
     if get_origin(kind) is list:
-        return [_parse(get_args(kind)[0], name, x) for x in text.split(",") if x]
+        return [_parse(get_args(kind)[0], x) for x in text.split(",") if x]
     if type(None) in get_args(kind):
-        return None if text == "None" else _parse(get_args(kind)[0], name, text)
-    if kind is not bool:
-        return kind(text)
-    if text not in ("True", "False"):
-        raise ValueError(f"config field {name}: expected True or False, got {text!r}")
-    return text == "True"
+        return None if text == "None" else _parse(get_args(kind)[0], text)
+    return kind(text)
 
 
 def _build_parser():
@@ -108,8 +102,6 @@ def _build_parser():
     common.add_argument("--max-iter", type=int)
     common.add_argument("--method", dest="methods", choices=METHODS, nargs="+")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--paper-h", action="store_true", default=None,
-                        help="use the verbatim printed quadrature constant (t2-t1)/n")
 
     parser = argparse.ArgumentParser(prog="wsvd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,7 +192,7 @@ def _instance(cfg, indir=None):
     seed = _single(cfg.seeds, "--seed")
     if indir is not None:
         return epsilon, seed, *load_problem(indir)
-    problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
+    problem = build_problem(cfg.problem, cfg.m, cfg.n)
     return epsilon, seed, problem, add_noise(problem, epsilon, seed)
 
 
@@ -227,6 +219,7 @@ def cmd_solve(args):
         fact = wsvd(problem.a, problem.weight, start=noisy.b)
     if method == "tikh-opt":
         _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
+        rule_kind = "oracle"  # the error-optimal parameter, as sweep labels it
         rel_err = float(np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true))
         rows = [("0", _fmt(np.linalg.norm(problem.a @ x - noisy.b)),
                  _fmt(problem.weight.norm(x)), _fmt(rel_err))]
@@ -261,7 +254,7 @@ def cmd_sweep(args):
     cfg = _config_from_args(args)
     if args.epsilons is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
-    problem = build_problem(cfg.problem, cfg.m, cfg.n, paper_h=cfg.paper_h)
+    problem = build_problem(cfg.problem, cfg.m, cfg.n)
     # The spectral rows of a pair share one factorization.  The sweep keeps
     # the last one it made and reuses it for every pair whose b it covers (a
     # dense one covers every b); any other pair factors from its own b.
@@ -306,11 +299,16 @@ def cmd_sweep(args):
 
 def _points_record(path):
     """The RunRecord of a CSV of k,res_norm,sol_mnorm rows (a header or blank
-    line is skipped).  The k column must run 1..N, as RunRecord.ks does;
-    ValueError names the first row where it does not."""
+    line is skipped; further columns are ignored).  Every row must have the
+    three columns and the k column must run 1..N, as RunRecord.ks does;
+    ValueError names the first row where either fails."""
     with open(path) as fh:
         rows = [line.split(",") for line in map(str.strip, fh)
                 if line and not line.startswith("k,")]
+    for i, r in enumerate(rows, 1):
+        if len(r) < 3:
+            raise ValueError(f"{path}: data row {i} has {len(r)} column(s); "
+                             "expected k,res_norm,sol_mnorm")
     ks = np.array([int(r[0]) for r in rows], dtype=int)
     bad = np.flatnonzero(ks != np.arange(1, ks.size + 1))
     if bad.size:
@@ -355,7 +353,7 @@ def cmd_wsvd(args):
     # factorization dumps default to a small instance
     m = cfg.m if cfg.m is not None else 120
     n = cfg.n if cfg.n is not None else 101
-    problem = build_problem(cfg.problem, m, n, paper_h=cfg.paper_h)
+    problem = build_problem(cfg.problem, m, n)
     fact = wsvd(problem.a, problem.weight)
     outdir = os.path.join(cfg.out, f"wsvd_{problem.name}_m{m}_n{n}")
     os.makedirs(outdir, exist_ok=True)

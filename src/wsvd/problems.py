@@ -44,7 +44,6 @@ class TestProblem:
     b_exact: np.ndarray
     s_grid: np.ndarray
     t_grid: np.ndarray
-    paper_h: bool = False
 
     @property
     def m(self):
@@ -63,19 +62,17 @@ class NoisyData:
     seed: int
 
 
-def simpson_weights(n, t1, t2, paper_h=False):
+def simpson_weights(n, t1, t2):
     """Composite Simpson weights (h/3)(1, 4, 2, 4, ..., 2, 4, 1) on n nodes.
 
     n must be odd and >= 3.  h = (t2 - t1)/(n - 1) spans the interval with
-    the endpoint nodes; paper_h switches the constant to the alternative
-    convention (t2 - t1)/n (the weights then no longer sum to the interval
-    length, and cubic exactness is lost).
+    the endpoint nodes, so the weights sum to the interval length.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"composite Simpson rule needs odd n >= 3, got {n}")
     if not t2 > t1:
         raise ValueError(f"need t2 > t1, got [{t1}, {t2}]")
-    h = (t2 - t1) / (n if paper_h else n - 1)
+    h = (t2 - t1) / (n - 1)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
@@ -167,7 +164,7 @@ def true_solution(name, t):
     raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
 
 
-def build_problem(name, m=None, n=None, paper_h=False):
+def build_problem(name, m=None, n=None):
     """Assemble a test problem; dimensions default to the reference table.
 
     A is allocated once and filled in place in row blocks of about
@@ -184,7 +181,7 @@ def build_problem(name, m=None, n=None, paper_h=False):
     t1, t2 = DOMAINS[name]
     t = np.linspace(t1, t2, n)
     s = np.linspace(t1, t2, m)
-    w = simpson_weights(n, t1, t2, paper_h=paper_h)
+    w = simpson_weights(n, t1, t2)
     a = np.empty((m, n))
     rows = max(1, _BLOCK_BYTES // (8 * n))
     t_terms = _t_terms(name, t[None, :])
@@ -201,7 +198,6 @@ def build_problem(name, m=None, n=None, paper_h=False):
         b_exact=a @ x_true,
         s_grid=s,
         t_grid=t,
-        paper_h=paper_h,
     )
 
 
@@ -238,9 +234,6 @@ def condition_estimate(problem):
 #   e        m float64
 #   meta     text, one key=value per line
 
-_META_KEYS = ("name", "m", "n", "epsilon", "seed", "t1", "t2", "paper_h")
-
-
 def write_array(path, arr, shape_header=False):
     """Write arr as little-endian float64 in row-major order, preceded by its
     shape as little-endian int64 when shape_header is set.  tofile writes
@@ -267,16 +260,16 @@ def save_problem(dirpath, problem, noisy):
         "seed": noisy.seed,
         "t1": repr(t1),
         "t2": repr(t2),
-        "paper_h": int(problem.paper_h),
     }
     with open(os.path.join(dirpath, "meta"), "w") as fh:
-        for key in _META_KEYS:
-            fh.write(f"{key}={meta[key]}\n")
+        for key, value in meta.items():
+            fh.write(f"{key}={value}\n")
 
 
 def load_problem(dirpath):
     """Read back a directory written by save_problem; returns
-    (TestProblem, NoisyData)."""
+    (TestProblem, NoisyData).  The weights come from M.diag; a meta key not
+    read here, which an older directory may carry, is ignored."""
     meta = {}
     with open(os.path.join(dirpath, "meta")) as fh:
         for line in fh:
@@ -287,7 +280,6 @@ def load_problem(dirpath):
     name = meta["name"]
     m, n = int(meta["m"]), int(meta["n"])
     t1, t2 = float(meta["t1"]), float(meta["t2"])
-    paper_h = bool(int(meta.get("paper_h", "0")))
 
     def get(fname, count, header=None):
         # fromfile reads straight into the result, so A is held only once
@@ -310,7 +302,6 @@ def load_problem(dirpath):
         b_exact=get("b_exact", m),
         s_grid=np.linspace(t1, t2, m),
         t_grid=np.linspace(t1, t2, n),
-        paper_h=paper_h,
     )
     noisy = NoisyData(
         b=get("b", m),

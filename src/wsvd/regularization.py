@@ -222,18 +222,22 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
     """History of the truncated WSVD expansions x_k = sum_{i<=k} (u_i^T b /
     sigma_i) v_i for k = 1 .. min(rank, max_iter), with the maxiter index.
 
-    Residual norms come from the expansion, ||b||^2 - sum_{i<=k} (u_i^T b)^2,
-    M-norms from the coefficients, and rel_errors (when x_true is given)
-    from the iterates themselves.  Raises ValueError for a max_iter below 1.
+    The residual norm of x_k is the norm of b outside span(u_1 .. u_rank)
+    together with the tail sum of (u_i^T b)^2 over k < i <= rank, so no
+    difference of nearly equal squares is taken.  M-norms come from the
+    coefficients, and rel_errors (when x_true is given) from the iterates
+    themselves.  Raises ValueError for a max_iter below 1.
     """
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
-    ub = _coefficients(fact, b, kmax)
-    coef = ub / fact.sigma[:kmax]
-    res = np.sqrt(np.maximum(np.linalg.norm(b) ** 2 - np.cumsum(ub**2), 0.0))
+    ub = _coefficients(fact, b)
+    outside = b - fact.u[:, :fact.rank] @ ub
+    tail = np.cumsum((ub**2)[::-1])[::-1]  # tail[j] = sum of ub[i]**2 over i >= j
+    res = np.sqrt(outside @ outside + np.append(tail[1:], 0.0)[:kmax])
+    coef = ub[:kmax] / fact.sigma[:kmax]
     mnorms = np.sqrt(np.cumsum(coef**2))
     errs = None
     if x_true is not None:

@@ -14,6 +14,29 @@ import numpy as np
 
 _COND_WARN = 1e12
 
+# a plain sum of squares below this may have lost digits to underflow
+_UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _sqrt_dot(x, y=None, factor=1.0):
+    """factor * sqrt(max(x^T y, 0)) with y defaulting to x, so a multiple of
+    ||x||_2 or, for y = M x, of ||x||_M.  Only when the plain product
+    overflows, or falls below tiny/eps in magnitude with x and y nonzero, is
+    it recomputed from x and y scaled by their largest magnitudes, so every
+    in-range value keeps the bits of the plain formula and the factor
+    brings an out-of-range norm back into range."""
+    with np.errstate(over="ignore"):
+        sq = float(x @ (x if y is None else y))
+    if _UNDERFLOW <= abs(sq) < np.inf:
+        return factor * float(np.sqrt(max(sq, 0.0)))
+    cx = float(np.abs(x).max())
+    cy = cx if y is None else float(np.abs(y).max())
+    if cx == 0.0 or cy == 0.0:
+        return 0.0
+    xs = x / cx
+    sq = xs @ (xs if y is None else y / cy)
+    return float(factor * np.sqrt(cx) * np.sqrt(cy) * np.sqrt(max(sq, 0.0)))
+
 
 class WeightMatrix:
     """SPD weight matrix, stored either as a diagonal or as a dense array.
@@ -149,8 +172,10 @@ class WeightMatrix:
         return float(x @ self.matvec(y))
 
     def norm(self, x):
-        """||x||_M; the quadratic form is clamped at zero against roundoff."""
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
+        """||x||_M, by _sqrt_dot: the quadratic form is clamped at zero
+        against roundoff and recomputed in scaled form out of range."""
+        x = self._check_dim(x)
+        return _sqrt_dot(x, self.matvec(x))
 
     def solve(self, v):
         """Solve M w = v for a vector or a matrix of columns."""

@@ -155,7 +155,7 @@ def test_c05_bidiagonal_factorization_relations(problems_small):
     res1 = np.linalg.norm(problem.a @ q[:, :k] - p @ bk, 2)
     assert res1 <= 1e-10 * sigma1
     rhs = q[:, :k] @ bk.T
-    rhs[:, k] += state.alphas[k] * state.qs[k]
+    rhs[:, k] += state.alphas[k] * state.Q[:, k]
     res2 = np.linalg.norm(problem.weight.solve(problem.a.T @ p) - rhs, 2)
     assert res2 <= 1e-10 * sigma1
 
@@ -175,8 +175,8 @@ def test_c06_triplet_residual_identity(problems_small):
         y = np.linalg.svd(bk, full_matrices=False)[0]
         trips = approx_triplets(state, 5)
         s1 = trips[0].sigma_bar
-        if len(state.alphas) > k and len(state.qs) > k:
-            tail = state.alphas[k] * problem.weight.matvec(state.qs[k])
+        if len(state.alphas) > k and state.Q.shape[1] > k:
+            tail = state.alphas[k] * problem.weight.matvec(state.Q[:, k])
         else:
             tail = np.zeros(problem.n)
         for i, t in enumerate(trips):

@@ -22,28 +22,24 @@ def test_config_round_trip():
     cfg = ExperimentConfig(problem="green", m=77, n=None,
                            epsilons=[3.2e-2, 1e-3], seeds=[0, 4],
                            rules=["dp", "lc"], methods=["wlsqr", "twsvd"],
-                           tau=1.05, max_iter=44, paper_h=True, out="somewhere")
+                           tau=1.05, max_iter=44, out="somewhere")
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_config_with_a_jobs_line_still_loads():
     # configs written while the sweep had a --jobs option carry a jobs line,
-    # and those written while the CLI had --reorth a reorth line; an unknown
-    # key is skipped, so they load as the same config without it
+    # and those written while the CLI had --reorth or --paper-h a reorth or
+    # paper_h line; an unknown key is skipped, so they load as the same
+    # config without it
     text = ("problem=phillips\nm=None\nn=None\nepsilons=0.032,0.001\nseeds=0\n"
             "rules=dp,lc,oracle\nmethods=wlsqr,lsqr\ntau=1.01\nmax_iter=100\n"
-            "reorth=True\npaper_h=False\njobs=4\nout=results\n")
+            "reorth=True\npaper_h=True\njobs=4\nout=results\n")
     old = ExperimentConfig.from_text(text)
     assert old == ExperimentConfig.from_text(text.replace("jobs=4\n", ""))
     assert old == ExperimentConfig(problem="phillips", epsilons=[0.032, 0.001],
                                    rules=["dp", "lc", "oracle"],
                                    methods=["wlsqr", "lsqr"], max_iter=100,
                                    out="results")
-
-
-def test_config_rejects_a_boolean_spelled_otherwise():
-    with pytest.raises(ValueError, match="paper_h"):
-        ExperimentConfig.from_text("problem=shaw\npaper_h=true\n")
 
 
 def test_config_round_trip_defaults():
@@ -121,6 +117,20 @@ def test_solve_tikh_opt(tmp_path, capsys):
     assert rc == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert float(row[4]) < 0.1
+
+
+@pytest.mark.parametrize("rule", ["dp", "oracle"])
+def test_solve_tikh_opt_is_labelled_oracle(tmp_path, capsys, rule):
+    # the error-optimal parameter is the oracle's choice whatever --rule says,
+    # as sweep labels it
+    assert main(["solve", "--problem", "shaw", *SMALL, "--epsilon", "1e-3",
+                 "--seed", "0", "--rule", rule, "--method", "tikh-opt",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("shaw,oracle,tikh-opt,0,")
+    tag = "shaw_tikh-opt_oracle_eps0.001_seed0"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run_{tag}.csv",
+                                                          f"summary_{tag}.csv"]
+    assert read_csv(tmp_path / f"summary_{tag}.csv")[0]["rule"] == "oracle"
 
 
 def test_solve_twsvd(tmp_path, capsys):
@@ -409,6 +419,17 @@ def test_lcurve_points_rejects_a_k_column_not_counting_from_one(tmp_path, capsys
     assert not (tmp_path / "lcurve.csv").exists()
 
 
+def test_lcurve_points_rejects_a_short_row(tmp_path, capsys, shaw_lc_history):
+    write_points(tmp_path / "pts.csv", shaw_lc_history, 1)
+    with open(tmp_path / "pts.csv", "a") as fh:
+        fh.write("16,0.5\n")
+    assert main(["lcurve", "--points", str(tmp_path / "pts.csv"),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "data row 16 has 2 column(s)" in err
+    assert not (tmp_path / "lcurve.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_solve_twsvd_rejects_a_max_iter_below_one(tmp_path, capsys, value):
     assert main(["solve", "--problem", "shaw", "--m", "60", "--n", "41",
@@ -479,6 +500,16 @@ def test_reorth_option_is_gone(tmp_path, capsys, monkeypatch, value):
     assert main(["triplets", "--problem", "shaw", "--m", "60", "--n", "41",
                  "--epsilon", "0", "--reorth", value, "--out", str(tmp_path)]) == 1
     assert "--reorth" in capsys.readouterr().err
+
+
+def test_paper_h_option_is_gone(tmp_path, capsys, monkeypatch):
+    # the quadrature has one spacing, (t2 - t1)/(n - 1); a constant factor
+    # on the weights only rescales A, M and b, so no option selects another
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    assert main(["gen", "--problem", "shaw", "--m", "60", "--n", "41",
+                 "--epsilon", "0", "--paper-h", "--out", str(tmp_path)]) == 1
+    assert "--paper-h" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_exit_code_runtime_error(tmp_path, capsys):

@@ -54,13 +54,6 @@ def test_simpson_cos_quadrature():
     assert w @ np.cos(t) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_paper_h_variant():
-    # verbatim printed spacing (t2-t1)/n shrinks every weight by (n-1)/n
-    w_std = simpson_weights(5, 0.0, 1.0)
-    w_pap = simpson_weights(5, 0.0, 1.0, paper_h=True)
-    assert np.allclose(w_pap, w_std * 4 / 5)
-
-
 def test_kernel_values():
     assert kernel_eval("shaw", 0.0, 0.0) == pytest.approx(4.0)
     assert kernel_eval("phillips", 1.0, 1.0) == pytest.approx(2.0)  # phi(0)
@@ -94,19 +87,19 @@ def _out_of_place_kernel(name, s, t):
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-@pytest.mark.parametrize("m,n,paper_h", [
+@pytest.mark.parametrize("m,n", [
     # A is filled in row blocks of 262144 // (8 n) rows: 65 at n = 501, so
     # 600 and 131 end in a partial block and 1 and 3 are below one block;
     # the table sizes end in a partial block except expst (10-row blocks)
-    pytest.param(40, 31, False, id="40-31"),
-    pytest.param(600, 501, False, id="600-501"),
-    pytest.param(131, 501, True, id="131-501-paper_h"),
-    pytest.param(3, 3, False, id="3-3"),
-    pytest.param(1, 3, True, id="1-3-paper_h"),
-    pytest.param(None, None, False, id="table"),
+    pytest.param(40, 31, id="40-31"),
+    pytest.param(600, 501, id="600-501"),
+    pytest.param(131, 501, id="131-501"),
+    pytest.param(3, 3, id="3-3"),
+    pytest.param(1, 3, id="1-3"),
+    pytest.param(None, None, id="table"),
 ])
-def test_assembly_bit_identical_to_out_of_place(name, m, n, paper_h):
-    prob = build_problem(name, m, n, paper_h=paper_h)
+def test_assembly_bit_identical_to_out_of_place(name, m, n):
+    prob = build_problem(name, m, n)
     s, t = prob.s_grid, prob.t_grid
     ref = _out_of_place_kernel(name, s[:, None], t[None, :]) * prob.weight.diag[None, :]
     assert prob.a.flags.c_contiguous
@@ -304,6 +297,23 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(noisy2.e, noisy.e)
     assert noisy2.epsilon == noisy.epsilon
     assert noisy2.seed == noisy.seed
+
+
+def test_an_older_directory_with_a_paper_h_line_loads_its_saved_weights(tmp_path):
+    # directories written while the quadrature had a paper_h option carry a
+    # paper_h line in meta; with paper_h=1 A, M and b were all scaled by
+    # (n-1)/n, and the saved arrays are what load_problem returns
+    prob = build_problem("shaw", 30, 21)
+    noisy = add_noise(prob, 1e-2, 5)
+    save_problem(tmp_path, prob, noisy)
+    w_old = prob.weight.diag * 20 / 21
+    (tmp_path / "M.diag").write_bytes(w_old.astype("<f8").tobytes())
+    with open(tmp_path / "meta", "a") as fh:
+        fh.write("paper_h=1\n")
+    prob2, noisy2 = load_problem(tmp_path)
+    assert np.array_equal(prob2.weight.diag, w_old)
+    assert np.array_equal(prob2.a, prob.a) and np.array_equal(noisy2.b, noisy.b)
+    assert not hasattr(prob2, "paper_h")
 
 
 def test_save_regeneration_identical(tmp_path):

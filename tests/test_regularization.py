@@ -255,6 +255,49 @@ def test_twsvd_record_matches_the_expansions(shaw_small):
     assert twsvd_record(fact, noisy.b).rel_errors is None
 
 
+@pytest.mark.parametrize("name", ["shaw", "phillips"])  # Krylov and dense route
+def test_twsvd_record_residuals_match_the_true_residuals(name):
+    # at eps 1e-8 ||b||^2 - sum (u_i^T b)^2 cancels to noise; the residual of
+    # the part of b outside span(U) plus the tail sum does not
+    problem = build_problem(name, 120, 101)
+    noisy = add_noise(problem, 1e-8, 0)
+    fact = wsvd(problem.a, problem.weight, start=noisy.b)
+    rec = twsvd_record(fact, noisy.b)
+    true = [np.linalg.norm(problem.a @ twsvd_solution(fact, noisy.b, k) - noisy.b)
+            for k in rec.ks]
+    assert len(rec.ks) >= 20 and np.all(rec.residual_norms > 0)
+    assert np.allclose(rec.residual_norms, true, rtol=1e-5, atol=0)
+
+
+@pytest.fixture(scope="module")
+def shaw_scaled_case():
+    # shaw 200x101 at eps 1e-3: under lc, dp and maxiter with max_iter 30
+    problem = build_problem("shaw", 200, 101)
+    noisy = add_noise(problem, 1e-3, 0)
+    rules = (StoppingRule("lc"), StoppingRule("maxiter"),
+             StoppingRule("dp", noise_norm=float(np.linalg.norm(noisy.e))))
+    runs = [spr_solve(problem.a, problem.weight, noisy.b, r, max_iter=30) for r in rules]
+    assert [(rec.stop_index, rec.satisfied, rec.terminated_at) for _, rec in runs] == [
+        (8, True, 21), (21, True, 21), (7, True, None)]
+    return problem, noisy, rules, runs
+
+
+@pytest.mark.parametrize("scale", [1e-290, 1e-200, 1e-155, 1e200, 1e280])
+def test_a_rescaled_matrix_gives_the_same_stop_indices(shaw_scaled_case, scale):
+    # A -> c A maps x_k to x_k / c and leaves every residual unchanged; the
+    # squared norms underflow or overflow at these scales, and are rescued
+    # in scaled form (RuntimeWarnings fail the suite).  The maxiter iterate
+    # is that of the breakdown step, which amplifies rounding, so only the
+    # lc and dp iterates are compared.
+    problem, noisy, rules, runs = shaw_scaled_case
+    for rule, (x1, rec1) in zip(rules, runs):
+        x, rec = spr_solve(problem.a * scale, problem.weight, noisy.b, rule, max_iter=30)
+        assert (rec.stop_index, rec.satisfied, rec.terminated_at) == (
+            rec1.stop_index, rec1.satisfied, rec1.terminated_at)
+        if rule.kind != "maxiter":
+            assert np.allclose(x * scale, x1, rtol=0, atol=1e-12 * np.abs(x1).max())
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_twsvd_record_rejects_a_max_iter_below_one(max_iter):
     fact = wsvd(np.diag([3.0, 2.0, 1.0]), WeightMatrix.identity(3))

@@ -33,7 +33,7 @@ def test_init_state():
     assert np.array_equal(state.x, np.zeros(40))
     assert state.phibar == pytest.approx(np.linalg.norm(b))
     assert state.rhobar == pytest.approx(state.bidiag.alphas[0])
-    assert np.array_equal(state.w, state.bidiag.qs[0])
+    assert np.array_equal(state.w, state.bidiag.Q[:, 0])
     assert state.k == 0
 
 
@@ -47,7 +47,7 @@ def test_first_step_closed_form():
     # x_1 = (phi_1/rho_1) q_1 with rho_1 = hypot(alpha_1, beta_2), phi_1 = c_1 beta_1
     a, weight, b = setup_random(52)
     state = wlsqr_init(a, weight, b)
-    q1 = state.bidiag.qs[0].copy()
+    q1 = state.bidiag.Q[:, 0].copy()
     alpha1 = state.bidiag.alphas[0]
     beta1 = state.bidiag.betas[0]
     wlsqr_step(state, a, weight)

@@ -37,12 +37,14 @@ def test_the_cli_runs_no_engine_loop_of_its_own():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_takes_a_reorth_or_keep_iterates_switch(path):
-    # the recursion always reorthogonalizes fully and never stores iterates
+    # the recursion always reorthogonalizes fully and never stores iterates,
+    # and the quadrature has one spacing (a constant factor on the weights
+    # only rescales A, M and b)
     params = {arg.arg
               for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
-    assert not params & {"reorth", "keep_iterates"}
+    assert not params & {"reorth", "keep_iterates", "paper_h"}
 
 
 def test_every_engine_init_passes_its_step_budget():

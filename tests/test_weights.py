@@ -148,6 +148,15 @@ def test_norm_zero_vector():
     assert w.norm(np.zeros(2)) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e170, 1e300])
+def test_norm_of_a_vector_whose_squares_underflow_or_overflow(scale):
+    # ||c (3, 4)||_M with M = diag(1, 4) is sqrt(9 + 64) c, though c^2 is out
+    # of range at these scales
+    w = WeightMatrix.diagonal([1.0, 4.0])
+    assert w.norm(np.array([3.0, 4.0]) * scale) == pytest.approx(np.sqrt(73.0) * scale,
+                                                                 rel=1e-14, abs=0)
+
+
 def test_diag_property_requires_diagonal():
     rng = np.random.default_rng(9)
     w = WeightMatrix.dense(random_spd(rng, 4))
