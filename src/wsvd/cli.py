@@ -211,7 +211,9 @@ def cmd_solve(args):
     method = _single(cfg.methods, "--method")
     rule_kind = _single(cfg.rules, "--rule")
     epsilon, seed, problem, noisy = _instance(cfg, args.indir)
-    (rule,) = _rules(cfg, problem, noisy)
+    # tikh-opt picks its parameter by the error and selects with no rule, so
+    # only the other methods build (and validate) theirs
+    rule = None if method == "tikh-opt" else _rules(cfg, problem, noisy)[0]
 
     t0 = time.perf_counter()
     fact = None

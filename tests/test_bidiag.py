@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, add_noise, approx_triplets, build_problem,
-                  project_bidiagonal, weighted_operator_norm, wgkb_init, wgkb_run,
-                  wgkb_step, wsvd)
+from wsvd import (StoppingRule, WeightMatrix, add_noise, approx_triplets, bidiag,
+                  build_problem, project_bidiagonal, spr_solve, weighted_operator_norm,
+                  wgkb_init, wgkb_run, wgkb_step, wsvd)
 
 from test_weights import random_spd
 
@@ -410,3 +410,112 @@ def test_run_is_bit_identical_to_the_hand_loop():
     assert np.array_equal(state.P, hand.P) and np.array_equal(state.Q, hand.Q)
     assert (state.terminated, state.termination_step) == (hand.terminated,
                                                           hand.termination_step)
+
+
+# -- the envelope: products read only the row blocks' nonzero column panels --
+
+def banded(m=1300, n=700, width=150, seed=60):
+    """A slanted band: row i is nonzero only within width columns of i n / m."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.indices((m, n))
+    return np.where(np.abs(rows * n / m - cols) < width, rng.standard_normal((m, n)), 0.0)
+
+
+def zero_row_block(a):
+    a = a.copy()
+    a[bidiag.ENVELOPE_ROWS:2 * bidiag.ENVELOPE_ROWS] = 0.0
+    return a
+
+
+def zero_leading_columns(a):
+    # dense but for 150 zero leading columns in every row
+    a = np.random.default_rng(61).standard_normal(a.shape)
+    a[:, :150] = 0.0
+    return a
+
+
+def stray_entries(a):
+    # a nonzero at both ends of a middle row of every block, outside the
+    # columns the block's first and last row span
+    a = a.copy()
+    a[bidiag.ENVELOPE_ROWS // 2::bidiag.ENVELOPE_ROWS, [0, -1]] = 1.0
+    return a
+
+
+def sliced(a):
+    # a non-contiguous view: every other row of a wider matrix
+    big = np.zeros((2 * a.shape[0], a.shape[1] + 5))
+    big[::2, 3:-2] = a
+    return big[::2, 3:-2]
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, zero_row_block,
+                                    zero_leading_columns, stray_entries,
+                                    np.asfortranarray, sliced],
+                         ids=lambda f: f.__name__)
+def test_envelope_products_match_the_plain_products(layout):
+    a = layout(banded())
+    m, n = a.shape
+    envelope = bidiag._envelope(a)
+    # the blocks cover the rows in order, and some of them are trimmed
+    assert [blk[0] for blk in envelope] == [0, *[blk[1] for blk in envelope[:-1]]]
+    assert envelope[-1][1] == m
+    if layout is not stray_entries:
+        assert sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in envelope) < m * n
+    rng = np.random.default_rng(62)
+    q, p = rng.standard_normal(n), rng.standard_normal(m)
+    y, z = a @ q, a.T @ p
+    tol = 1e-14 * np.sqrt(m * n)
+    assert np.max(np.abs(bidiag._matvec(a, envelope, q) - y)) <= tol * np.max(np.abs(y))
+    assert np.max(np.abs(bidiag._rmatvec(a, envelope, p) - z)) <= tol * np.max(np.abs(z))
+
+
+def test_envelope_trims_zero_rows_and_leading_columns():
+    rows = bidiag.ENVELOPE_ROWS
+    assert (rows, 2 * rows, 0, 0) in bidiag._envelope(zero_row_block(banded()))
+    # 150 zero columns leave the panels from 128 (ENVELOPE_COLS = 64) in one block
+    assert bidiag._envelope(zero_leading_columns(banded())) == ((0, 1300, 128, 700),)
+
+
+@pytest.mark.parametrize("a", [setup_random()[0], np.ones((1100, 200)),
+                               build_problem("shaw", 1200, 1001).a],
+                         ids=["random", "ones", "shaw"])
+def test_a_dense_matrix_is_one_full_block(a):
+    assert bidiag._envelope(a) == ((0, *a.shape[:1], 0, a.shape[1]),)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("block, col", [(0, -1), (1, 0)], ids=["right", "left"])
+def test_a_non_finite_entry_where_a_block_would_be_trimmed_still_raises(bad, block, col):
+    a = banded()
+    r0, r1, c0, c1 = bidiag._envelope(a)[block]
+    assert c0 > 0 if col == 0 else c1 < a.shape[1]
+    # an inner row, so the scan's guess from the block's first and last row misses it
+    a[(r0 + r1) // 2, col] = bad
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        wgkb_init(a, WeightMatrix.identity(a.shape[1]), np.ones(a.shape[0]))
+
+
+@pytest.mark.parametrize("name, blocks", [("phillips", 3), ("shaw", 1)])
+def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch):
+    problem = build_problem(name, 1200, 1001)
+    noisy = add_noise(problem, 1e-3, 0)
+    assert len(bidiag._envelope(problem.a)) == blocks
+
+    def solve():
+        noise = float(np.linalg.norm(noisy.e))
+        return [spr_solve(problem.a, problem.weight, noisy.b,
+                          StoppingRule(kind, noise_norm=noise, x_true=problem.x_true))[1]
+                for kind in ("dp", "lc", "oracle")]
+
+    trimmed = solve()
+    monkeypatch.setattr(bidiag, "_envelope", lambda a: ((0, a.shape[0], 0, a.shape[1]),))
+    for got, full in zip(trimmed, solve()):
+        assert (got.stop_index, got.terminated_at) == (full.stop_index, full.terminated_at)
+        k = got.stop_index
+        if blocks == 1:
+            # one block is the plain product, bit for bit
+            assert np.array_equal(got.residual_norms, full.residual_norms)
+            assert np.array_equal(got.rel_errors, full.rel_errors)
+        else:
+            assert got.rel_errors[k - 1] == pytest.approx(full.rel_errors[k - 1], rel=1e-10)

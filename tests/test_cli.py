@@ -119,15 +119,17 @@ def test_solve_tikh_opt(tmp_path, capsys):
     assert float(row[4]) < 0.1
 
 
-@pytest.mark.parametrize("rule", ["dp", "oracle"])
-def test_solve_tikh_opt_is_labelled_oracle(tmp_path, capsys, rule):
+@pytest.mark.parametrize("rule, epsilon", [pytest.param("dp", "1e-3", id="dp"),
+                                           pytest.param("oracle", "1e-3", id="oracle"),
+                                           pytest.param("dp", "0", id="dp-noise-free")])
+def test_solve_tikh_opt_is_labelled_oracle(tmp_path, capsys, rule, epsilon):
     # the error-optimal parameter is the oracle's choice whatever --rule says,
-    # as sweep labels it
-    assert main(["solve", "--problem", "shaw", *SMALL, "--epsilon", "1e-3",
+    # as sweep labels it; tikh-opt applies no rule, so a noise-free dp is no error
+    assert main(["solve", "--problem", "shaw", *SMALL, "--epsilon", epsilon,
                  "--seed", "0", "--rule", rule, "--method", "tikh-opt",
                  "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("shaw,oracle,tikh-opt,0,")
-    tag = "shaw_tikh-opt_oracle_eps0.001_seed0"
+    tag = f"shaw_tikh-opt_oracle_eps{float(epsilon):g}_seed0"
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"run_{tag}.csv",
                                                           f"summary_{tag}.csv"]
     assert read_csv(tmp_path / f"summary_{tag}.csv")[0]["rule"] == "oracle"
@@ -479,9 +481,10 @@ def test_triplets_rejects_an_empty_request_before_any_work(tmp_path, capsys, mon
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):
-    # dp without noise
-    assert main(["solve", "--problem", "shaw", *SMALL, "--epsilon", "0",
-                 "--seed", "0", "--rule", "dp", "--out", str(tmp_path)]) == 1
+    # dp without noise, for each method that selects with the rule
+    for method in ("wlsqr", "lsqr", "twsvd"):
+        assert main(["solve", "--problem", "shaw", *SMALL, "--epsilon", "0", "--seed", "0",
+                     "--rule", "dp", "--method", method, "--out", str(tmp_path)]) == 1
     # even n
     assert main(["solve", "--problem", "shaw", "--m", "40", "--n", "30",
                  "--epsilon", "1e-3", "--out", str(tmp_path)]) == 1

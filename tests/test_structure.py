@@ -58,3 +58,22 @@ def test_every_engine_init_passes_its_step_budget():
     assert len(calls) >= 3
     for name, node in calls:
         assert "max_steps" in {kw.arg for kw in node.keywords}, (name, node.lineno)
+
+
+def _reads_a(node):
+    # a, or an attribute or subscript of it: a.T, a[r0:r1, c0:c1].T
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "a"
+
+
+def test_every_product_with_a_in_bidiag_reads_the_envelope():
+    # A q and A^T p have one path, the envelope helpers; wgkb_init and
+    # wgkb_step call those instead of a product of their own
+    owners = {func.name
+              for func in ast.walk(ast.parse((SRC / "bidiag.py").read_text()))
+              if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+              and (_reads_a(node.left) or _reads_a(node.right))}
+    assert owners == {"_matvec", "_rmatvec"}
