@@ -15,13 +15,13 @@ and the projected problem is exact.
 
 Each step reads A twice, for A q and A^T p, and those products dominate a
 run.  wgkb_init therefore scans A once for its envelope: A is cut into
-blocks of ENVELOPE_ROWS rows, and each block keeps only the whole
-ENVELOPE_COLS-column panels from its first to its last nonzero.  Every
-product of the run reads only those blocks, so the all-zero columns at
-either end of a block (as in a banded kernel such as phillips) are never
-read again.  Adjacent blocks with the same columns merge, so a dense A is
-one block and its products are the plain BLAS calls.  Zeros inside a
-block's column range are still read and multiplied.
+ceil(m / ENVELOPE_ROWS) row blocks of equal height, and each block keeps
+only the whole ENVELOPE_COLS-column panels from its first to its last
+nonzero.  Every product of the run reads only those blocks, so the
+all-zero columns at either end of a block (as in a banded kernel such as
+phillips) are never read again.  Adjacent blocks with the same columns
+merge, so a dense A is one block and its products are the plain BLAS
+calls.  Zeros inside a block's column range are still read and multiplied.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +35,14 @@ from .weights import _sqrt_dot
 BREAK_TOL = 1e-14
 
 # Envelope granularity in rows and columns of A.  Taller blocks trim less
-# of a slanted band, shorter ones make more and smaller BLAS calls: on
-# phillips 3000x2501 (2-core Xeon, OpenBLAS) an A q plus A^T p pair took
-# 1.8 ms at 512 x 64, 2.6 ms with 256-row and 1.9-2.0 ms with 1024-row
-# blocks, and 3.1 ms unblocked; 32- to 128-column panels were within 0.1 ms.
+# of a slanted band; a block below OpenBLAS's GEMV threading size runs on
+# one core.  With OpenBLAS 0.3.31 on 2 threads a block of 456,960 entries
+# ran single-threaded and one of 478,720 threaded, which is why 256-row
+# blocks were slower (2.6 ms for an A q plus A^T p pair on phillips
+# 3000x2501, against 1.8 ms at 512 rows).  Equal heights keep the last block
+# from being a short remainder: phillips gets six 500-row blocks of 5.4e5 to
+# 8.6e5 entries, all threaded, and the pair fell from 1.87 ms to 1.71 ms.
+# 32- to 128-column panels were within 0.1 ms.
 ENVELOPE_ROWS = 512
 ENVELOPE_COLS = 64
 # columns at each side of a block's first and last row that the scan tests
@@ -133,6 +137,13 @@ def _guess(ends, n):
     return first * ENVELOPE_COLS, min(n, (last + 1) * ENVELOPE_COLS)
 
 
+def _row_bounds(m):
+    """Boundaries of ceil(m / ENVELOPE_ROWS) row blocks whose heights differ
+    by at most one row."""
+    count = -(-m // ENVELOPE_ROWS)
+    return [i * m // count for i in range(count + 1)]
+
+
 def _envelope(a):
     """Row blocks (r0, r1, c0, c1) covering the rows of a in order: outside
     columns c0:c1, rows r0:r1 of a are all zero.  c0 and c1 are panel
@@ -147,9 +158,9 @@ def _envelope(a):
     """
     m, n = a.shape
     panels = range(0, n, ENVELOPE_COLS)
+    bounds = _row_bounds(m)
     blocks = []
-    for r0 in range(0, m, ENVELOPE_ROWS):
-        r1 = min(r0 + ENVELOPE_ROWS, m)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
         rows = a[r0:r1]
         c0, c1 = _guess(rows[::max(1, r1 - r0 - 1)], n)
         if c0 and rows[:, :c0].any():
@@ -182,18 +193,38 @@ def _rmatvec(a, envelope, p):
     return z
 
 
+# A Gram-Schmidt pass that keeps at least this share of the norm did not
+# cancel, so a second pass would change the vector only at rounding level
+# (Daniel, Gragg, Kaufman and Stewart, 1976; "twice is enough").
+_KEPT = 1.0 / np.sqrt(2.0)
+
+
 def _reorth_left(r, pm):
-    # two classical Gram-Schmidt passes against the 2-orthonormal columns
+    """r less its part in the span of the 2-orthonormal columns pm, and
+    ||r||_2 after.  One classical Gram-Schmidt pass, and a second only when
+    the first cancelled (kept less than _KEPT of the norm)."""
+    norm = _sqrt_dot(r)
     for _ in range(2):
         r = r - pm @ (pm.T @ r)
-    return r
+        before, norm = norm, _sqrt_dot(r)
+        if norm >= _KEPT * before:
+            break
+    return r, norm
 
 
 def _reorth_right(s, qm, weight):
-    # two passes in the M-inner product; coefficients via M s
+    """s less its part in the span of the M-orthonormal columns qm, and
+    ||s||_M after, under _reorth_left's rule.  The coefficients come from an
+    explicit M s: the caller's M^{-1} input is M s only to within cond(M)."""
+    ms = weight.matvec(s)
+    norm = _sqrt_dot(s, ms)
     for _ in range(2):
-        s = s - qm @ (qm.T @ weight.matvec(s))
-    return s
+        s = s - qm @ (qm.T @ ms)
+        ms = weight.matvec(s)
+        before, norm = norm, _sqrt_dot(s, ms)
+        if norm >= _KEPT * before:
+            break
+    return s, norm
 
 
 def wgkb_init(a, weight, b, max_steps=None):
@@ -252,9 +283,10 @@ def wgkb_init(a, weight, b, max_steps=None):
 def wgkb_step(state, a, weight):
     """Advance the recursion one step; returns the same state object.
 
-    Each new vector is reorthogonalized against the full stored basis (two
-    classical passes), which keeps the exactness relations near machine
-    precision on ill-conditioned problems; without it the bases lose
+    Each new vector is reorthogonalized against the full stored basis by one
+    classical Gram-Schmidt pass, and by a second only when the first
+    cancelled (see _reorth_left), which keeps the exactness relations near
+    machine precision on ill-conditioned problems; without it the bases lose
     orthogonality and copies of converged singular values appear.  A step
     past the budget the bases were sized for raises RuntimeError and leaves
     the state unchanged.
@@ -265,8 +297,8 @@ def wgkb_step(state, a, weight):
         raise RuntimeError(f"step {state.k + 1} is past the budget of {state.k} steps")
     pm, qm = state.P, state.Q
     q_last = qm[:, -1]
-    r = _reorth_left(_matvec(a, state.envelope, q_last) - state.alphas[-1] * pm[:, -1], pm)
-    beta = _sqrt_dot(r)
+    r = _matvec(a, state.envelope, q_last) - state.alphas[-1] * pm[:, -1]
+    r, beta = _reorth_left(r, pm)
     if beta <= BREAK_TOL * state.scale:
         state.betas.append(0.0)
         state.alphas.append(0.0)
@@ -277,9 +309,7 @@ def wgkb_step(state, a, weight):
     p = r / beta
     state.append_p(p)
     sbar = _rmatvec(a, state.envelope, p) - beta * weight.matvec(q_last)
-    s = _reorth_right(weight.solve(sbar), qm, weight)
-    sbar = weight.matvec(s)
-    alpha = _sqrt_dot(s, sbar)
+    s, alpha = _reorth_right(weight.solve(sbar), qm, weight)
     if alpha <= BREAK_TOL * state.scale:
         state.alphas.append(0.0)
         state.terminated = True

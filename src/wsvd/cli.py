@@ -143,7 +143,7 @@ def _fmt(x):
 
 def _fmt_log(x):
     """log(x), or nan (as in the curvature column) where x is not a finite
-    positive norm, e.g. the zero residual of a breakdown step."""
+    positive norm, e.g. the zero residual of a consistent system."""
     return _fmt(np.log(x)) if np.isfinite(x) and x > 0 else "nan"
 
 

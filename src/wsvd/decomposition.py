@@ -191,9 +191,9 @@ def covers(fact, a, b):
         raise ValueError("right-hand side has non-finite entries")
     if fact.krylov_steps is None:
         return True
-    r = _reorth_left(b, fact.u)  # r = 0 gives s = 0 and passes
-    s = _reorth_right(fact.weight.solve(a.T @ r), fact.v, fact.weight)
-    return bool(fact.weight.norm(s) <= BREAK_TOL * fact.sigma[0] * np.linalg.norm(r))
+    r, r_norm = _reorth_left(b, fact.u)  # r = 0 gives s = 0 and passes
+    _, s_norm = _reorth_right(fact.weight.solve(a.T @ r), fact.v, fact.weight)
+    return bool(s_norm <= BREAK_TOL * fact.sigma[0] * r_norm)
 
 
 def weighted_operator_norm(a, weight):

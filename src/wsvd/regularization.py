@@ -112,8 +112,8 @@ def lcurve_points(residual_norms, solution_m_norms):
     """Deduplicated log-log points and the 1-based iteration index of each.
 
     Only the leading run of points with both norms positive and finite is
-    used: a breakdown step reports a residual of exactly 0, whose log is
-    -inf, and nothing after a non-finite point is trusted.
+    used: a consistent system can reach a residual of exactly 0, whose log
+    is -inf, and nothing after a non-finite point is trusted.
     """
     res = np.asarray(residual_norms, dtype=float)
     mn = np.asarray(solution_m_norms, dtype=float)
@@ -161,10 +161,10 @@ def stop_lcurve(residual_norms, solution_m_norms):
     Needs at least 5 history points.  A flat (collinear) history sets the
     no_corner flag and still returns the interior index of largest
     curvature.  Only the leading run of points whose log residual and log
-    M-norm are both finite is used (see lcurve_points).  At a beta
-    breakdown the recurrence reports a residual of exactly 0 for the last
-    step, so that step is dropped and its iterate, often blown up, is never
-    the corner.  Fewer than 3 usable points give index 1 with no_corner set.
+    M-norm are both finite is used (see lcurve_points).  An endpoint carries
+    no curvature, so the last step of a terminated run, whose iterate is
+    often blown up, is never the corner.  Fewer than 3 usable points give
+    index 1 with no_corner set.
     """
     if len(residual_norms) < 5:
         raise ValueError(

@@ -4,15 +4,23 @@ Each step advances the weighted Golub-Kahan recursion once and applies a
 Givens rotation to the projected bidiagonal system, so that the iterate
 x_k solves min ||A x - b||_2 over the Krylov subspace span(Q_k) while the
 recurrence tracks the residual norm phibar_{k+1} = ||A x_k - b||_2 exactly
-(in exact arithmetic).  At termination of the recursion the iterate is the
-minimum-M-norm least squares solution.
+(in exact arithmetic).
+
+At the step where the recursion terminates, B_k is numerically singular
+on the ill-posed problems (cond 6e15-3e16 on shaw and expst), and the
+Givens update would divide by a rounding-level rho.  That step instead
+solves the projected problem by the SVD of B_k, truncated at the dense rank
+rule max(m, n) eps theta_1, and takes the residual norm from the projected
+system.  The iterate is then the minimum-M-norm least-squares solution of
+the Krylov wsvd route, min_m_norm_ls(wsvd(a, weight, start=b), b).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidiag import BidiagState, wgkb_init, wgkb_step
+from .bidiag import BidiagState, project_bidiagonal, wgkb_init, wgkb_step
+from .decomposition import _rank
 from .weights import WeightMatrix
 
 DEFAULT_MAX_ITER = 200
@@ -22,10 +30,11 @@ DEFAULT_MAX_ITER = 200
 class WlsqrState:
     """Solver state after k completed steps.
 
-    residual_norms[k-1] is phibar_{k+1} = ||A x_k - b||_2 and
-    solution_m_norms[k-1] is ||x_k||_M.  phibar_1 = ||b||_2 is available as
-    initial_residual.  done is true once the bidiagonalization has
-    terminated.
+    residual_norms[k-1] is phibar_{k+1} = ||A x_k - b||_2 (at a terminating
+    step, the residual of the truncated projected solution; see the module
+    docstring) and solution_m_norms[k-1] is ||x_k||_M.  phibar_1 = ||b||_2
+    is available as initial_residual.  done is true once the
+    bidiagonalization has terminated.
     """
 
     x: np.ndarray
@@ -76,18 +85,22 @@ def wlsqr_step(state, a, weight):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
     Returns the same state object.  A terminating bidiagonalization step
-    still completes its solution update (the recursion records the alpha or
-    beta it could not compute as 0.0), after which the state is done.
+    takes x_k and its residual norm from the truncated SVD of B_k instead
+    (see _terminal_solution), after which the state is done.
     """
     if state.done:
         raise RuntimeError("solver already finished")
     bid = state.bidiag
     wgkb_step(bid, a, weight)
-    i = bid.k
-    rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
-        state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
-    state.x = state.x + (phi / rho) * state.w
-    state.w = None if bid.terminated else bid.Q[:, i] - (theta_next / rho) * state.w
+    if bid.terminated:
+        state.x, state.phibar = _terminal_solution(bid)
+        state.w = None
+    else:
+        i = bid.k
+        rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
+            state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
+        state.x = state.x + (phi / rho) * state.w
+        state.w = bid.Q[:, i] - (theta_next / rho) * state.w
     state.residual_norms.append(state.phibar)
     state.solution_m_norms.append(weight.norm(state.x))
     return state
@@ -119,16 +132,35 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None):
     return state
 
 
+def _terminal_solution(bidiag):
+    """(x_k, ||B_k y_k - beta_1 e_1||_2) at the step k where the recursion
+    terminated: x_k = Q_k y_k with y_k the minimum-norm least-squares
+    solution of B_k y = beta_1 e_1 by the SVD B_k = Y Theta H^T, keeping the
+    values above max(m, n) eps theta_1 (the rank rule of the dense wsvd).
+    Only the k-vector y_k is lifted, so the cost is O(k^3 + n k)."""
+    y, theta, ht = np.linalg.svd(project_bidiagonal(bidiag), full_matrices=False)
+    rank = _rank(theta, (bidiag.p_buf.shape[0], bidiag.q_buf.shape[0]))
+    coef = bidiag.betas[0] * y[0, :rank]
+    residual = -(y[:, :rank] @ coef)
+    residual[0] += bidiag.betas[0]
+    x = bidiag.Q[:, :bidiag.k] @ (ht[:rank].T @ (coef / theta[:rank]))
+    return x, float(np.linalg.norm(residual))
+
+
 def wlsqr_iterate(bidiag, k):
     """The k-th iterate x_k = Q_k y_k, y_k = argmin ||B_k y - beta_1 e_1||_2,
     recovered from a recursion that has run at least k steps.
 
     The solver's own rotations reduce B_k to upper bidiagonal R_k, and back
     substitution solves R_k y_k = (phi_1, ..., phi_k) (Paige and Saunders,
-    LSQR, 1982), so no earlier iterate needs to be stored or recomputed.
+    LSQR, 1982), so no earlier iterate needs to be stored or recomputed.  At
+    the terminating step the iterate is the solver's own truncated one (see
+    _terminal_solution).
     """
     if not 1 <= k <= bidiag.k:
         raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
+    if k == bidiag.termination_step:
+        return _terminal_solution(bidiag)[0]
     rhobar, phibar = bidiag.alphas[0], bidiag.betas[0]
     rho, theta, phi = np.empty(k), np.empty(k), np.empty(k)
     for i in range(k):

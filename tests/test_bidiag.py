@@ -243,9 +243,23 @@ def test_residual_bound_zero_after_termination():
 
 # -- column buffers -----------------------------------------------------------
 
+def gram_schmidt(v, basis, inner):
+    """v less its part in span(basis), and its norm after: one classical pass
+    with coefficients basis^T inner(v), and a second when the first kept less
+    than 1/sqrt(2) of the norm; inner(v) is M v for the M-inner product."""
+    norm = np.sqrt(v @ inner(v))
+    for _ in range(2):
+        v = v - basis @ (basis.T @ inner(v))
+        before, norm = norm, np.sqrt(v @ inner(v))
+        if norm >= before / np.sqrt(2.0):
+            break
+    return v, norm
+
+
 def reference_wgkb(a, weight, b, steps):
-    """List-of-vectors weighted recursion with two classical Gram-Schmidt
-    passes per vector, the basis rebuilt from the lists at every step.
+    """List-of-vectors weighted recursion, the basis rebuilt from the lists at
+    every step, each new vector orthogonalized by gram_schmidt with explicit
+    M products.
 
     np.array(ps).T has the column layout of the engine's buffers, so both
     run the same products in the same summation order and any difference is
@@ -261,21 +275,56 @@ def reference_wgkb(a, weight, b, steps):
     qs = [s / alpha]
     alphas.append(alpha)
     for _ in range(steps):
-        r = a @ qs[-1] - alpha * ps[-1]
-        pm = np.array(ps).T
-        for _ in range(2):
-            r = r - pm @ (pm.T @ r)
-        beta = np.linalg.norm(r)
+        r, beta = gram_schmidt(a @ qs[-1] - alpha * ps[-1], np.array(ps).T, lambda v: v)
         ps.append(r / beta)
         s = weight.solve(a.T @ ps[-1] - beta * weight.matvec(qs[-1]))
-        qm = np.array(qs).T
-        for _ in range(2):
-            s = s - qm @ (qm.T @ weight.matvec(s))
-        alpha = np.sqrt(s @ weight.matvec(s))
+        s, alpha = gram_schmidt(s, np.array(qs).T, weight.matvec)
         qs.append(s / alpha)
         alphas.append(alpha)
         betas.append(beta)
     return alphas, betas
+
+
+def cancelling(rng, basis, inner_factor):
+    """basis c plus an orthogonal part 1e-10 of its size, where inner_factor
+    maps the inner product to the 2-norm (the identity, or L for M = L^T L)."""
+    m, k = basis.shape
+    v = rng.standard_normal(m)
+    v -= basis @ (basis.T @ inner_factor.T @ inner_factor @ v)
+    along = basis @ rng.standard_normal(k)
+    return along + 1e-10 * np.linalg.norm(inner_factor @ along) / np.linalg.norm(
+        inner_factor @ v) * v
+
+
+def orthonormal_bases(rng):
+    """A 2-orthonormal 40 x 6 basis, a dense weight M and an M-orthonormal
+    30 x 6 basis."""
+    pm = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+    weight = WeightMatrix.dense(random_spd(rng, 30, cond=50.0))
+    return pm, weight, weight.solve_factor(np.linalg.qr(rng.standard_normal((30, 6)))[0])
+
+
+def test_a_cancelling_vector_takes_the_second_pass():
+    rng = np.random.default_rng(53)
+    pm, weight, qm = orthonormal_bases(rng)
+    left = cancelling(rng, pm, np.eye(40))
+    right = cancelling(rng, qm, weight.factor())
+    for (v, norm), basis, mv in ((bidiag._reorth_left(left, pm), pm, lambda x: x),
+                                 (bidiag._reorth_right(right, qm, weight), qm,
+                                  weight.matvec)):
+        # one pass would leave basis^T M v near 1e-6 of ||v||
+        assert np.linalg.norm(basis.T @ mv(v)) <= 1e-14 * norm
+        assert norm == np.sqrt(v @ mv(v))
+
+
+def test_a_vector_that_keeps_its_norm_takes_one_pass():
+    rng = np.random.default_rng(54)
+    pm, weight, qm = orthonormal_bases(rng)
+    r, s = rng.standard_normal(40), rng.standard_normal(30)
+    once = r - pm @ (pm.T @ r)
+    assert np.array_equal(bidiag._reorth_left(r, pm)[0], once)
+    once = s - qm @ (qm.T @ weight.matvec(s))
+    assert np.array_equal(bidiag._reorth_right(s, qm, weight)[0], once)
 
 
 @pytest.fixture(scope="module")
@@ -421,9 +470,14 @@ def banded(m=1300, n=700, width=150, seed=60):
     return np.where(np.abs(rows * n / m - cols) < width, rng.standard_normal((m, n)), 0.0)
 
 
+def second_block(m):
+    return tuple(bidiag._row_bounds(m)[1:3])
+
+
 def zero_row_block(a):
     a = a.copy()
-    a[bidiag.ENVELOPE_ROWS:2 * bidiag.ENVELOPE_ROWS] = 0.0
+    r0, r1 = second_block(a.shape[0])
+    a[r0:r1] = 0.0
     return a
 
 
@@ -438,7 +492,8 @@ def stray_entries(a):
     # a nonzero at both ends of a middle row of every block, outside the
     # columns the block's first and last row span
     a = a.copy()
-    a[bidiag.ENVELOPE_ROWS // 2::bidiag.ENVELOPE_ROWS, [0, -1]] = 1.0
+    bounds = bidiag._row_bounds(a.shape[0])
+    a[[(r0 + r1) // 2 for r0, r1 in zip(bounds[:-1], bounds[1:])], [[0], [-1]]] = 1.0
     return a
 
 
@@ -471,10 +526,19 @@ def test_envelope_products_match_the_plain_products(layout):
 
 
 def test_envelope_trims_zero_rows_and_leading_columns():
-    rows = bidiag.ENVELOPE_ROWS
-    assert (rows, 2 * rows, 0, 0) in bidiag._envelope(zero_row_block(banded()))
+    assert (*second_block(1300), 0, 0) in bidiag._envelope(zero_row_block(banded()))
     # 150 zero columns leave the panels from 128 (ENVELOPE_COLS = 64) in one block
     assert bidiag._envelope(zero_leading_columns(banded())) == ((0, 1300, 128, 700),)
+
+
+def test_row_blocks_have_equal_heights_and_stay_threaded():
+    # 3000 rows are six 500-row blocks, not five of 512 and a 440-row rest:
+    # each of phillips' blocks then has enough entries for a threaded GEMV
+    a = build_problem("phillips").a
+    envelope = bidiag._envelope(a)
+    assert [(r0, r1) for r0, r1, _, _ in envelope] == [(r, r + 500) for r in range(0, 3000, 500)]
+    assert min((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in envelope) >= 5e5
+    assert bidiag._row_bounds(1300) == [0, 433, 866, 1300]
 
 
 @pytest.mark.parametrize("a", [setup_random()[0], np.ones((1100, 200)),
@@ -496,26 +560,54 @@ def test_a_non_finite_entry_where_a_block_would_be_trimmed_still_raises(bad, blo
         wgkb_init(a, WeightMatrix.identity(a.shape[1]), np.ones(a.shape[0]))
 
 
-@pytest.mark.parametrize("name, blocks", [("phillips", 3), ("shaw", 1)])
-def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch):
+def three_rules(name):
+    """spr_solve's dp, lc and oracle records, as a function of no arguments,
+    on name at 1200x1001, eps 1e-3, seed 0."""
     problem = build_problem(name, 1200, 1001)
     noisy = add_noise(problem, 1e-3, 0)
-    assert len(bidiag._envelope(problem.a)) == blocks
+    noise = float(np.linalg.norm(noisy.e))
+    return lambda: [spr_solve(problem.a, problem.weight, noisy.b,
+                              StoppingRule(kind, noise_norm=noise, x_true=problem.x_true))[1]
+                    for kind in ("dp", "lc", "oracle")]
 
-    def solve():
-        noise = float(np.linalg.norm(noisy.e))
-        return [spr_solve(problem.a, problem.weight, noisy.b,
-                          StoppingRule(kind, noise_norm=noise, x_true=problem.x_true))[1]
-                for kind in ("dp", "lc", "oracle")]
 
+def assert_same_stops(records, references):
+    for got, ref in zip(records, references):
+        assert (got.stop_index, got.terminated_at) == (ref.stop_index, ref.terminated_at)
+        k = got.stop_index
+        assert got.rel_errors[k - 1] == pytest.approx(ref.rel_errors[k - 1], rel=1e-10)
+
+
+@pytest.mark.parametrize("name, blocks", [("phillips", 3), ("shaw", 1)])
+def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch):
+    solve = three_rules(name)
+    assert len(bidiag._envelope(build_problem(name, 1200, 1001).a)) == blocks
     trimmed = solve()
     monkeypatch.setattr(bidiag, "_envelope", lambda a: ((0, a.shape[0], 0, a.shape[1]),))
-    for got, full in zip(trimmed, solve()):
-        assert (got.stop_index, got.terminated_at) == (full.stop_index, full.terminated_at)
-        k = got.stop_index
-        if blocks == 1:
-            # one block is the plain product, bit for bit
-            assert np.array_equal(got.residual_norms, full.residual_norms)
-            assert np.array_equal(got.rel_errors, full.rel_errors)
-        else:
-            assert got.rel_errors[k - 1] == pytest.approx(full.rel_errors[k - 1], rel=1e-10)
+    full = solve()
+    assert_same_stops(trimmed, full)
+    if blocks == 1:
+        # one block is the plain product, bit for bit
+        for got, ref in zip(trimmed, full):
+            assert np.array_equal(got.residual_norms, ref.residual_norms)
+            assert np.array_equal(got.rel_errors, ref.rel_errors)
+
+
+@pytest.mark.parametrize("name", ["phillips", "shaw"])
+def test_one_pass_unless_it_cancels_keeps_every_stop_of_a_solve(name, monkeypatch):
+    # against the Gram-Schmidt helpers that always make two passes
+    def left(r, pm):
+        for _ in range(2):
+            r = r - pm @ (pm.T @ r)
+        return r, np.sqrt(r @ r)
+
+    def right(s, qm, weight):
+        for _ in range(2):
+            s = s - qm @ (qm.T @ weight.matvec(s))
+        return s, weight.norm(s)
+
+    solve = three_rules(name)
+    lean = solve()
+    monkeypatch.setattr(bidiag, "_reorth_left", left)
+    monkeypatch.setattr(bidiag, "_reorth_right", right)
+    assert_same_stops(lean, solve())

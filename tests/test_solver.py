@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from wsvd import (WeightMatrix, add_noise, build_problem, min_m_norm_ls,
-                  project_bidiagonal, wlsqr_init, wlsqr_run, wlsqr_step, wsvd)
+from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, min_m_norm_ls,
+                  project_bidiagonal, spr_solve, wlsqr_init, wlsqr_iterate, wlsqr_run,
+                  wlsqr_step, wsvd)
 
 from conftest import traced_peak
 from test_weights import random_spd
@@ -164,6 +165,49 @@ def test_termination_gives_min_m_norm_solution():
     assert state.done
     x_ref = min_m_norm_ls(wsvd(a, weight), b)
     assert np.linalg.norm(state.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+@pytest.fixture(scope="module", params=[("shaw", 21), ("expst", 9)], ids=lambda p: p[0])
+def table_breakdown(request):
+    # at table size, eps 1e-3 and seed 0 the recursion terminates with a
+    # numerically singular B_k (cond 6e15-3e16), at step 21 and 9
+    name, step = request.param
+    problem = build_problem(name)
+    noisy = add_noise(problem, 1e-3, 0)
+    state = wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=40)
+    assert state.done and state.k == state.bidiag.termination_step == step
+    return problem, noisy, state
+
+
+def test_the_terminating_residual_is_the_true_residual(table_breakdown):
+    problem, noisy, state = table_breakdown
+    true = np.linalg.norm(problem.a @ state.x - noisy.b)
+    # a Givens update here divides by a rounding-level rho; the true
+    # residual is near 0.11
+    assert state.residual_norms[-1] == pytest.approx(true, rel=1e-6)
+    assert true > 0.1
+
+
+def test_the_terminating_iterate_is_recovered_exactly(table_breakdown):
+    _, _, state = table_breakdown
+    assert np.array_equal(wlsqr_iterate(state.bidiag, state.k), state.x)
+
+
+def test_the_terminating_iterate_is_the_krylov_wsvd_solution(table_breakdown):
+    problem, noisy, state = table_breakdown
+    fact = wsvd(problem.a, problem.weight, start=noisy.b)
+    assert fact.krylov_steps == state.k
+    x_ref = min_m_norm_ls(fact, noisy.b)
+    assert np.linalg.norm(state.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+
+def test_a_dp_threshold_below_the_attainable_residual_is_unsatisfied(table_breakdown):
+    problem, noisy, state = table_breakdown
+    floor = state.residual_norms[-1]
+    rule = StoppingRule("dp", noise_norm=0.5 * floor)
+    _, rec = spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=40)
+    assert not rec.satisfied
+    assert rec.stop_index == rec.terminated_at == state.k
 
 
 def test_max_iter_and_callback_stop():
