@@ -159,8 +159,9 @@ def _write_csv(path, header, rows):
 
 def _rules(cfg, problem, noisy):
     """The stopping rules of cfg for one noisy instance.  StoppingRule raises
-    ValueError for a rule it cannot apply (a tau <= 1 or a noise-free dp, an
-    oracle without x_true), which exits 1 before any row is written."""
+    ValueError for a rule it cannot apply (a dp with a tau that is not
+    finite and > 1 or without noise, an oracle without x_true), which exits
+    1 before any row is written."""
     noise = float(np.linalg.norm(noisy.e))
     return [StoppingRule(kind, tau=cfg.tau, noise_norm=noise, x_true=problem.x_true)
             for kind in cfg.rules]

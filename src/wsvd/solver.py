@@ -13,6 +13,13 @@ solves the projected problem by the SVD of B_k, truncated at the dense rank
 rule max(m, n) eps theta_1, and takes the residual norm from the projected
 system.  The iterate is then the minimum-M-norm least-squares solution of
 the Krylov wsvd route, min_m_norm_ls(wsvd(a, weight, start=b), b).
+
+The solver can also continue a recursion that an earlier run of the same a,
+weight and b left behind (wlsqr_run's private _bidiag, which only spr_solve
+passes, with a recursion it never hands out).  Its steps first replay the
+columns that recursion already holds, stepping it further only once they
+have caught up, so every iterate and norm has the bits of a fresh run: the
+recursion is deterministic and each step reads only its own columns.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +40,9 @@ class WlsqrState:
     residual_norms[k-1] is phibar_{k+1} = ||A x_k - b||_2 (at a terminating
     step, the residual of the truncated projected solution; see the module
     docstring) and solution_m_norms[k-1] is ||x_k||_M.  phibar_1 = ||b||_2
-    is available as initial_residual.  done is true once the
-    bidiagonalization has terminated.
+    is available as initial_residual.  done is true once the solver has
+    reached the step where the bidiagonalization terminated, which a
+    continued recursion may have passed already (see wlsqr_run).
     """
 
     x: np.ndarray
@@ -51,7 +59,7 @@ class WlsqrState:
 
     @property
     def done(self):
-        return self.bidiag.terminated
+        return self.bidiag.termination_step == self.k
 
     @property
     def initial_residual(self):
@@ -66,8 +74,13 @@ def wlsqr_init(a, weight, b, max_steps=None):
     immediately done, with alpha_1 = 0.0, and x = 0 is the solution.
     """
     a = np.asarray(a, dtype=float)
-    bid = wgkb_init(a, weight, b, max_steps=max_steps)
-    w = None if bid.terminated else bid.Q[:, 0].copy()
+    return _start(a, wgkb_init(a, weight, b, max_steps=max_steps))
+
+
+def _start(a, bid):
+    """The solver state x_0 = 0 of wlsqr_init on the recursion bid, which
+    may already hold later steps."""
+    w = None if bid.termination_step == 0 else bid.Q[:, 0].copy()
     return WlsqrState(x=np.zeros(a.shape[1]), w=w, phibar=bid.betas[0],
                       rhobar=bid.alphas[0], bidiag=bid)
 
@@ -84,19 +97,22 @@ def _rotate(rhobar, phibar, beta, alpha):
 def wlsqr_step(state, a, weight):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
-    Returns the same state object.  A terminating bidiagonalization step
-    takes x_k and its residual norm from the truncated SVD of B_k instead
-    (see _terminal_solution), after which the state is done.
+    Returns the same state object.  The bidiagonalization is stepped only
+    when it holds no column for step k + 1 yet (a continued recursion may).
+    A terminating bidiagonalization step takes x_k and its residual norm
+    from the truncated SVD of B_k instead (see _terminal_solution), after
+    which the state is done.
     """
     if state.done:
         raise RuntimeError("solver already finished")
     bid = state.bidiag
-    wgkb_step(bid, a, weight)
-    if bid.terminated:
+    i = state.k + 1
+    if bid.k < i:
+        wgkb_step(bid, a, weight)
+    if bid.termination_step == i:
         state.x, state.phibar = _terminal_solution(bid)
         state.w = None
     else:
-        i = bid.k
         rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
             state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
         state.x = state.x + (phi / rho) * state.w
@@ -106,12 +122,16 @@ def wlsqr_step(state, a, weight):
     return state
 
 
-def wlsqr_run(a, weight, b, max_iter=None, callback=None):
+def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     """Run the solver until termination or max_iter steps.  Every step
     reorthogonalizes fully (see wgkb_step).
 
     max_iter defaults to min(m, n, 200) and is also the step budget that
-    sizes the bases once (see wgkb_init).
+    sizes the bases once (see wgkb_init).  _bidiag is private to
+    spr_solve: a recursion of these same a, weight and b, run for this
+    budget, that the solver continues instead of calling wlsqr_init.  Its
+    first steps replay the columns it holds, and the result has the bits of
+    a fresh run.  Nothing checks that it fits.
     callback(k, x, residual_norm, solution_m_norm) is invoked after each
     step; a truthy return stops the run.  The x passed to the callback is
     never mutated by later steps.
@@ -122,7 +142,10 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None):
         max_iter = min(m, n, DEFAULT_MAX_ITER)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    state = wlsqr_init(a, weight, b, max_steps=max_iter)
+    if _bidiag is None:
+        state = wlsqr_init(a, weight, b, max_steps=max_iter)
+    else:
+        state = _start(a, _bidiag)
     while not state.done and state.k < max_iter:
         wlsqr_step(state, a, weight)
         if callback is not None and callback(

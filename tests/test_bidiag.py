@@ -4,6 +4,7 @@ import pytest
 from wsvd import (StoppingRule, WeightMatrix, add_noise, approx_triplets, bidiag,
                   build_problem, project_bidiagonal, spr_solve, weighted_operator_norm,
                   wgkb_init, wgkb_run, wgkb_step, wsvd)
+from wsvd import regularization
 
 from test_weights import random_spd
 
@@ -560,15 +561,28 @@ def test_a_non_finite_entry_where_a_block_would_be_trimmed_still_raises(bad, blo
         wgkb_init(a, WeightMatrix.identity(a.shape[1]), np.ones(a.shape[0]))
 
 
-def three_rules(name):
+def three_rules(name, steps):
     """spr_solve's dp, lc and oracle records, as a function of no arguments,
-    on name at 1200x1001, eps 1e-3, seed 0."""
+    on name at 1200x1001, eps 1e-3, seed 0.  Each rule runs a recursion of
+    its own, under whatever patches are in place when the function is
+    called: the kept run is dropped first, and steps (the fixture) shows
+    that no call replays one."""
     problem = build_problem(name, 1200, 1001)
     noisy = add_noise(problem, 1e-3, 0)
     noise = float(np.linalg.norm(noisy.e))
-    return lambda: [spr_solve(problem.a, problem.weight, noisy.b,
-                              StoppingRule(kind, noise_norm=noise, x_true=problem.x_true))[1]
-                    for kind in ("dp", "lc", "oracle")]
+
+    def solve():
+        records = []
+        for kind in ("dp", "lc", "oracle"):
+            regularization._kept = None
+            steps[0] = 0
+            records.append(spr_solve(problem.a, problem.weight, noisy.b,
+                                     StoppingRule(kind, noise_norm=noise,
+                                                  x_true=problem.x_true))[1])
+            assert steps[0] == len(records[-1].ks) > 0
+        return records
+
+    return solve
 
 
 def assert_same_stops(records, references):
@@ -579,8 +593,8 @@ def assert_same_stops(records, references):
 
 
 @pytest.mark.parametrize("name, blocks", [("phillips", 3), ("shaw", 1)])
-def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch):
-    solve = three_rules(name)
+def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch, steps):
+    solve = three_rules(name, steps)
     assert len(bidiag._envelope(build_problem(name, 1200, 1001).a)) == blocks
     trimmed = solve()
     monkeypatch.setattr(bidiag, "_envelope", lambda a: ((0, a.shape[0], 0, a.shape[1]),))
@@ -594,7 +608,7 @@ def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["phillips", "shaw"])
-def test_one_pass_unless_it_cancels_keeps_every_stop_of_a_solve(name, monkeypatch):
+def test_one_pass_unless_it_cancels_keeps_every_stop_of_a_solve(name, monkeypatch, steps):
     # against the Gram-Schmidt helpers that always make two passes
     def left(r, pm):
         for _ in range(2):
@@ -606,7 +620,7 @@ def test_one_pass_unless_it_cancels_keeps_every_stop_of_a_solve(name, monkeypatc
             s = s - qm @ (qm.T @ weight.matvec(s))
         return s, weight.norm(s)
 
-    solve = three_rules(name)
+    solve = three_rules(name, steps)
     lean = solve()
     monkeypatch.setattr(bidiag, "_reorth_left", left)
     monkeypatch.setattr(bidiag, "_reorth_right", right)

@@ -298,6 +298,15 @@ def test_sweep_rejects_a_rule_it_cannot_apply(tmp_path, capsys, bad):
     assert not (tmp_path / "sweep_shaw.csv").exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_tau(tmp_path, capsys, tau):
+    rc = main(["solve", "--problem", "shaw", "--m", "60", "--n", "41",
+               "--epsilon", "1e-2", "--tau", tau, "--rule", "dp", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "tau" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_error_status_keeps_the_row_intact():
     assert _error_status(ValueError("a, b\nc")) == "error: ValueError: a; b c"
     assert _error_status(RuntimeError()) == "error: RuntimeError"

@@ -122,6 +122,66 @@ def test_stopping_rule_validation():
     StoppingRule("maxiter")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_tau_or_noise_norm_is_rejected(bad):
+    # NaN fails every comparison, so "tau <= 1" alone would let it through
+    with pytest.raises(ValueError, match="tau"):
+        StoppingRule("dp", tau=bad, noise_norm=1.0)
+    with pytest.raises(ValueError, match="noise_norm"):
+        StoppingRule("dp", noise_norm=bad)
+    with pytest.raises(ValueError, match="tau"):
+        stop_dp([5.0, 2.0, 0.9], bad, 0.5)
+    with pytest.raises(ValueError, match="noise_norm"):
+        stop_dp([5.0, 2.0, 0.9], 1.01, bad)
+
+
+def _bad_x_true(problem, case):
+    x = problem.x_true.copy()
+    if case == "nan":
+        x[7] = np.nan
+    elif case == "inf":
+        x[7] = np.inf
+    elif case == "short":
+        x = x[:50]
+    elif case == "matrix":
+        x = x[:, None]
+    else:
+        x[:] = 0.0
+    return x
+
+
+X_TRUE_CASES = ["nan", "inf", "short", "matrix", "zero"]
+
+
+@pytest.mark.parametrize("case", X_TRUE_CASES)
+def test_spr_solve_rejects_a_bad_x_true_before_any_step(shaw_small, monkeypatch, case):
+    problem, noisy = shaw_small
+    x_true = _bad_x_true(problem, case)
+    monkeypatch.setattr("wsvd.regularization.wlsqr_run", None)  # never reached
+    with pytest.raises(ValueError, match="x_true"):
+        spr_solve(problem.a, problem.weight, noisy.b, StoppingRule("oracle", x_true=x_true))
+    with pytest.raises(ValueError, match="x_true"):
+        spr_solve(problem.a, problem.weight, noisy.b, StoppingRule("lc"), x_true=x_true)
+
+
+def test_spr_solve_rejects_a_matrix_that_is_not_two_dimensional(shaw_small):
+    problem, noisy = shaw_small
+    with pytest.raises(ValueError, match="two-dimensional"):
+        spr_solve(problem.a[:, 0], problem.weight, noisy.b, StoppingRule("lc"),
+                  x_true=problem.x_true)
+
+
+@pytest.mark.parametrize("case", X_TRUE_CASES)
+def test_spectral_histories_reject_a_bad_x_true(shaw_small, case):
+    problem, noisy = shaw_small
+    fact = wsvd(problem.a, problem.weight)
+    x_true = _bad_x_true(problem, case)
+    with pytest.raises(ValueError, match="x_true"):
+        twsvd_record(fact, noisy.b, x_true)
+    with pytest.raises(ValueError, match="x_true"):
+        tikhonov_opt(fact, noisy.b, x_true)
+
+
 def test_spr_dp_stops_eagerly(shaw_small):
     problem, noisy = shaw_small
     rule = StoppingRule("dp", noise_norm=float(np.linalg.norm(noisy.e)))

@@ -77,3 +77,31 @@ def test_every_product_with_a_in_bidiag_reads_the_envelope():
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
               and (_reads_a(node.left) or _reads_a(node.right))}
     assert owners == {"_matvec", "_rmatvec"}
+
+
+def _names(node):
+    """Every bare name and attribute name under node."""
+    return {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
+
+
+def test_only_spr_solve_continues_a_kept_recursion():
+    # continuing a recursion is safe only because the kept one never reaches
+    # a caller: spr_solve alone hands one to wlsqr_run (keyword-only
+    # _bidiag), and only it and _take_kept touch the slot that holds it
+    continuing, slot_users = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "_bidiag" in {kw.arg for kw in node.keywords}:
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    continuing.add((callee, path.name, func.name))
+            if _names(func) & {"_kept", "_take_kept"}:
+                slot_users.add((path.name, func.name))
+        if path.name != "regularization.py":
+            assert not _names(tree) & {"_kept", "_kept_lock", "_take_kept"}, path.name
+    assert continuing == {("wlsqr_run", "regularization.py", "spr_solve")}
+    assert slot_users == {("regularization.py", "_take_kept"),
+                          ("regularization.py", "spr_solve")}
