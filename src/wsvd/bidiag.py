@@ -24,7 +24,7 @@ merge, so a dense A is one block and its products are the plain BLAS
 calls.  Zeros inside a block's column range are still read and multiplied.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,36 +62,40 @@ class ApproxTriplet:
 
 @dataclass
 class BidiagState:
-    """State of the recursion after k completed steps.
+    """State of the recursion after k completed steps: the basis buffers, the
+    envelope of A and the recorded scalars, from which every other fact of
+    the run is derived.
 
     alphas holds alpha_1..alpha_{k+1} and betas holds beta_1..beta_{k+1},
     so len(alphas) == len(betas) == k + 1.  A terminating step records the
     value it could not compute as 0.0: alpha_{k+1} = 0.0 at an alpha
-    breakdown, and beta_{k+1} = alpha_{k+1} = 0.0 at a beta breakdown.
+    breakdown, and beta_{k+1} = alpha_{k+1} = 0.0 at a beta breakdown.  No
+    other recorded value is 0.0, so the run has terminated exactly when
+    alpha_{k+1} = 0.0.
 
     envelope holds the (r0, r1, c0, c1) row blocks of A that every product
     reads (see _envelope).
 
     The basis vectors live as columns of two F-ordered buffers, allocated
-    once by wgkb_init with cap = min(max_steps, m, n) + 1 columns; k steps
-    fill k + 1 columns of each, less the vectors a breakdown could not form.
-    P and Q are read-only views of their filled columns, so P[:, i] is
-    p_{i+1} and Q[:, i] is q_{i+1}.
+    once by wgkb_init with cap = min(max_steps, m, n) + 1 columns.  k steps
+    fill k + 1 columns of each, less the vector a zero beta_{k+1} or
+    alpha_{k+1} stands for.  P and Q are read-only views of the filled
+    columns, so P[:, i] is p_{i+1} and Q[:, i] is q_{i+1}.
     """
 
     p_buf: np.ndarray
     q_buf: np.ndarray
     envelope: tuple
-    p_count: int = 0
-    q_count: int = 0
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    terminated: bool = False
-    scale: float = 0.0
+    alphas: list
+    betas: list
 
     @property
     def k(self):
         return len(self.betas) - 1
+
+    @property
+    def terminated(self):
+        return self.alphas[-1] == 0.0
 
     @property
     def termination_step(self):
@@ -99,24 +103,20 @@ class BidiagState:
         return self.k if self.terminated else None
 
     @property
+    def scale(self):
+        """The largest entry of B_k and alpha_{k+1}, the running bidiagonal
+        scale of the breakdown test (beta_1 = ||b||_2 is not one)."""
+        return max(self.alphas + self.betas[1:])
+
+    @property
     def P(self):
-        """Left basis as columns, m x p_count, a read-only view."""
-        return _view(self.p_buf, self.p_count)
+        """Left basis as columns, a read-only view of the filled ones."""
+        return _view(self.p_buf, self.k + (self.betas[-1] != 0.0))
 
     @property
     def Q(self):
-        """Right basis as columns, n x q_count, a read-only view."""
-        return _view(self.q_buf, self.q_count)
-
-    def append_p(self, p):
-        """Store p as the next left basis column."""
-        self.p_buf[:, self.p_count] = p
-        self.p_count += 1
-
-    def append_q(self, q):
-        """Store q as the next right basis column."""
-        self.q_buf[:, self.q_count] = q
-        self.q_count += 1
+        """Right basis as columns, a read-only view of the filled ones."""
+        return _view(self.q_buf, self.k + (self.alphas[-1] != 0.0))
 
 
 def _view(buf, cols):
@@ -199,32 +199,22 @@ def _rmatvec(a, envelope, p):
 _KEPT = 1.0 / np.sqrt(2.0)
 
 
-def _reorth_left(r, pm):
-    """r less its part in the span of the 2-orthonormal columns pm, and
-    ||r||_2 after.  One classical Gram-Schmidt pass, and a second only when
-    the first cancelled (kept less than _KEPT of the norm)."""
-    norm = _sqrt_dot(r)
+def _reorth(v, basis, weight=None):
+    """v less its part in the span of the columns of basis, and the norm of
+    v after.  The columns are 2-orthonormal, or M-orthonormal with weight
+    M, and the norm is the matching one.  One classical Gram-Schmidt pass,
+    and a second only when the first cancelled (kept less than _KEPT of the
+    norm).  The M-coefficients come from an explicit M v: a caller's M^{-1}
+    input is M v only to within cond(M)."""
+    mv = v if weight is None else weight.matvec(v)
+    norm = _sqrt_dot(v, mv)
     for _ in range(2):
-        r = r - pm @ (pm.T @ r)
-        before, norm = norm, _sqrt_dot(r)
+        v = v - basis @ (basis.T @ mv)
+        mv = v if weight is None else weight.matvec(v)
+        before, norm = norm, _sqrt_dot(v, mv)
         if norm >= _KEPT * before:
             break
-    return r, norm
-
-
-def _reorth_right(s, qm, weight):
-    """s less its part in the span of the M-orthonormal columns qm, and
-    ||s||_M after, under _reorth_left's rule.  The coefficients come from an
-    explicit M s: the caller's M^{-1} input is M s only to within cond(M)."""
-    ms = weight.matvec(s)
-    norm = _sqrt_dot(s, ms)
-    for _ in range(2):
-        s = s - qm @ (qm.T @ ms)
-        ms = weight.matvec(s)
-        before, norm = norm, _sqrt_dot(s, ms)
-        if norm >= _KEPT * before:
-            break
-    return s, norm
+    return v, norm
 
 
 def wgkb_init(a, weight, b, max_steps=None):
@@ -265,19 +255,14 @@ def wgkb_init(a, weight, b, max_steps=None):
     alpha1 = _sqrt_dot(s, sbar)
     m, n = a.shape
     cols = (min(m, n) if max_steps is None else min(max_steps, m, n)) + 1
-    state = BidiagState(p_buf=np.empty((m, cols), order="F"),
-                        q_buf=np.empty((n, cols), order="F"), envelope=envelope,
-                        betas=[beta1])
-    state.append_p(p1)
+    p_buf, q_buf = np.empty((m, cols), order="F"), np.empty((n, cols), order="F")
+    p_buf[:, 0] = p1
     # no bidiagonal scale exists yet; compare against the matrix scale
     if alpha1 <= _sqrt_dot(a.ravel(order="K"), factor=BREAK_TOL):
-        state.alphas.append(0.0)
-        state.terminated = True
-        return state
-    state.alphas.append(alpha1)
-    state.append_q(s / alpha1)
-    state.scale = alpha1
-    return state
+        alpha1 = 0.0
+    else:
+        q_buf[:, 0] = s / alpha1
+    return BidiagState(p_buf, q_buf, envelope, alphas=[alpha1], betas=[beta1])
 
 
 def wgkb_step(state, a, weight):
@@ -285,38 +270,37 @@ def wgkb_step(state, a, weight):
 
     Each new vector is reorthogonalized against the full stored basis by one
     classical Gram-Schmidt pass, and by a second only when the first
-    cancelled (see _reorth_left), which keeps the exactness relations near
+    cancelled (see _reorth), which keeps the exactness relations near
     machine precision on ill-conditioned problems; without it the bases lose
-    orthogonality and copies of converged singular values appear.  A step
-    past the budget the bases were sized for raises RuntimeError and leaves
-    the state unchanged.
+    orthogonality and copies of converged singular values appear.  The step
+    writes its columns into the buffers and appends its beta and alpha last,
+    so a step that raises leaves the state unchanged; a step past the budget
+    the bases were sized for raises RuntimeError.
     """
     if state.terminated:
         raise RuntimeError("bidiagonalization already terminated")
-    if state.p_count == state.p_buf.shape[1]:
-        raise RuntimeError(f"step {state.k + 1} is past the budget of {state.k} steps")
     pm, qm = state.P, state.Q
+    i = pm.shape[1]
+    if i == state.p_buf.shape[1]:
+        raise RuntimeError(f"step {i} is past the budget of {state.k} steps")
     q_last = qm[:, -1]
     r = _matvec(a, state.envelope, q_last) - state.alphas[-1] * pm[:, -1]
-    r, beta = _reorth_left(r, pm)
-    if beta <= BREAK_TOL * state.scale:
-        state.betas.append(0.0)
-        state.alphas.append(0.0)
-        state.terminated = True
-        return state
+    r, beta = _reorth(r, pm)
+    scale = state.scale
+    if beta <= BREAK_TOL * scale:
+        beta = alpha = 0.0
+    else:
+        scale = max(scale, beta)
+        p = r / beta
+        state.p_buf[:, i] = p
+        sbar = _rmatvec(a, state.envelope, p) - beta * weight.matvec(q_last)
+        s, alpha = _reorth(weight.solve(sbar), qm, weight)
+        if alpha <= BREAK_TOL * scale:
+            alpha = 0.0
+        else:
+            state.q_buf[:, i] = s / alpha
     state.betas.append(beta)
-    state.scale = max(state.scale, beta)
-    p = r / beta
-    state.append_p(p)
-    sbar = _rmatvec(a, state.envelope, p) - beta * weight.matvec(q_last)
-    s, alpha = _reorth_right(weight.solve(sbar), qm, weight)
-    if alpha <= BREAK_TOL * state.scale:
-        state.alphas.append(0.0)
-        state.terminated = True
-        return state
     state.alphas.append(alpha)
-    state.scale = max(state.scale, alpha)
-    state.append_q(s / alpha)
     return state
 
 

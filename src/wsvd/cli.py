@@ -317,8 +317,7 @@ def _points_record(path):
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} has k = {ks[bad[0]]}; "
                          f"the k column must run 1..{ks.size}")
-    return RunRecord(ks=ks,
-                     residual_norms=np.array([float(r[1]) for r in rows]),
+    return RunRecord(residual_norms=np.array([float(r[1]) for r in rows]),
                      solution_m_norms=np.array([float(r[2]) for r in rows]),
                      rel_errors=None, initial_residual=float("nan"),
                      stop_index=len(rows), rule="maxiter")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import BREAK_TOL, _lifted_svd, _reorth_left, _reorth_right, wgkb_run
+from .bidiag import BREAK_TOL, _lifted_svd, _reorth, wgkb_run
 from .weights import WeightMatrix
 
 # Steps the Krylov route takes before it gives up and runs the dense route.
@@ -53,18 +53,21 @@ class WsvdFactorization:
     """Weighted SVD of a matrix.
 
     u and v keep every computed column (min(m, n) in economy form, m and n
-    columns when full, k on the Krylov route); sigma keeps only the
-    rank-many values above the rank tolerance max(m, n) * eps * sigma_1.
-    krylov_steps is the step count k of a Krylov-route factorization and
-    None for the dense route.
+    columns when full, k on the Krylov route); sigma keeps only the values
+    above the rank tolerance max(m, n) * eps * sigma_1, so the rank is
+    sigma.size.  krylov_steps is the step count k of a Krylov-route
+    factorization and None for the dense route.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank: int
     weight: WeightMatrix
     krylov_steps: int | None = None
+
+    @property
+    def rank(self):
+        return self.sigma.size
 
     @property
     def null_space(self):
@@ -128,8 +131,7 @@ def _krylov_wsvd(a, weight, start):
         return None
     theta, u, v, _ = _lifted_svd(state)
     u, v = _fix_signs(u, v, coupled=state.k)
-    rank = _rank(theta, a.shape)
-    return WsvdFactorization(u=u, sigma=theta[:rank].copy(), v=v, rank=rank,
+    return WsvdFactorization(u=u, sigma=theta[:_rank(theta, a.shape)].copy(), v=v,
                              weight=weight, krylov_steps=state.k)
 
 
@@ -166,8 +168,7 @@ def wsvd(a, weight, full_matrices=False, start=None):
     uh, s, vht = np.linalg.svd(b, full_matrices=full_matrices)
     v = weight.solve_factor(vht.T)
     u, v = _fix_signs(uh, v, coupled=min(m, n))
-    rank = _rank(s, a.shape)
-    return WsvdFactorization(u=u, sigma=s[:rank].copy(), v=v, rank=rank, weight=weight)
+    return WsvdFactorization(u=u, sigma=s[:_rank(s, a.shape)].copy(), v=v, weight=weight)
 
 
 def covers(fact, a, b):
@@ -191,8 +192,8 @@ def covers(fact, a, b):
         raise ValueError("right-hand side has non-finite entries")
     if fact.krylov_steps is None:
         return True
-    r, r_norm = _reorth_left(b, fact.u)  # r = 0 gives s = 0 and passes
-    _, s_norm = _reorth_right(fact.weight.solve(a.T @ r), fact.v, fact.weight)
+    r, r_norm = _reorth(b, fact.u)  # r = 0 gives s = 0 and passes
+    _, s_norm = _reorth(fact.weight.solve(a.T @ r), fact.v, fact.weight)
     return bool(s_norm <= BREAK_TOL * fact.sigma[0] * r_norm)
 
 
@@ -247,8 +248,8 @@ def tikhonov_wsvd(fact, b, lam):
     Solves (A^T A + lam M) x = A^T b through the factorization; lam = 0
     reduces to the minimum-M-norm least squares solution.
     """
-    if lam < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"regularization parameter must be finite and >= 0, got {lam}")
     r = fact.rank
     sig = fact.sigma
     filt = sig**2 / (sig**2 + lam)

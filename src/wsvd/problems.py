@@ -203,8 +203,8 @@ def build_problem(name, m=None, n=None):
 
 def add_noise(problem, epsilon, seed):
     """Gaussian noise rescaled so ||e||_2 = epsilon * ||b_exact||_2 exactly."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0.0:
         e = np.zeros_like(problem.b_exact)
         return NoisyData(b=problem.b_exact.copy(), e=e, epsilon=0.0, seed=seed)

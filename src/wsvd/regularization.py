@@ -68,8 +68,9 @@ class RunRecord:
 
     The one history type of the package: spr_solve returns it for a Krylov
     run and twsvd_record for the truncated WSVD expansions, and select
-    applies any stopping rule to it.  ks[i] = i + 1; residual_norms[i] =
-    ||A x_{i+1} - b||_2 as tracked by the recurrence (or the expansion);
+    applies any stopping rule to it.  residual_norms[i] =
+    ||A x_{i+1} - b||_2 as tracked by the recurrence (or the expansion), and
+    ks = 1..len(residual_norms) numbers the history;
     rel_errors is present when x_true was known.  stop_index is the 1-based
     index the rule chose (0 for an empty history, where x = 0), and rule
     names that rule.  satisfied is False when a dp rule never crossed or an
@@ -77,7 +78,6 @@ class RunRecord:
     holding at x_0.
     """
 
-    ks: np.ndarray
     residual_norms: np.ndarray
     solution_m_norms: np.ndarray
     rel_errors: np.ndarray | None
@@ -88,6 +88,10 @@ class RunRecord:
     degenerate: bool = False
     terminated_at: int | None = None
     wall_ms: float = 0.0
+
+    @property
+    def ks(self):
+        return np.arange(1, len(self.residual_norms) + 1)
 
 
 def stop_dp(residual_norms, tau, noise_norm):
@@ -263,7 +267,7 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
         for k in range(kmax):
             x = x + coef[k] * fact.v[:, k]
             errs[k] = np.linalg.norm(x - x_true) / nx
-    return RunRecord(ks=np.arange(1, kmax + 1), residual_norms=res,
+    return RunRecord(residual_norms=res,
                      solution_m_norms=mnorms, rel_errors=errs,
                      initial_residual=float(np.linalg.norm(b)), stop_index=kmax,
                      rule="maxiter", wall_ms=(time.perf_counter() - t0) * 1e3)
@@ -338,10 +342,10 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     the kept recursion, and step it further when they need more steps.
     Each such result has the bits of a fresh run.  The crc32 is a 32-bit
     checksum, not a proof of equality: it catches every in-place edit of A
-    or M confined to 32 consecutive bits (the low mantissa bits of one
-    entry, say), but an edit that keeps the checksum, with a chance of
-    about 2**-32 for an arbitrary one, replays the stale recursion.  b and
-    a diagonal M are compared in full.
+    confined to 32 consecutive bits (the low mantissa bits of one entry,
+    say), but an edit that keeps the checksum, with a chance of about
+    2**-32 for an arbitrary one, replays the stale recursion.  b and a
+    diagonal M are compared in full; a WeightMatrix is read-only.
 
     At most one run is kept: its bases for the step budget,
     8 * budget * (m + n) bytes (about 12 MB for green at table size, 160 MB
@@ -378,7 +382,6 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
 
     state = wlsqr_run(a, weight, b, max_iter=max_iter, callback=cb, _bidiag=bidiag)
     record = select(rule, RunRecord(
-        ks=np.arange(1, state.k + 1),
         residual_norms=np.asarray(state.residual_norms),
         solution_m_norms=np.asarray(state.solution_m_norms),
         rel_errors=np.asarray(errs) if errs is not None else None,

@@ -40,14 +40,15 @@ class WlsqrState:
     residual_norms[k-1] is phibar_{k+1} = ||A x_k - b||_2 (at a terminating
     step, the residual of the truncated projected solution; see the module
     docstring) and solution_m_norms[k-1] is ||x_k||_M.  phibar_1 = ||b||_2
-    is available as initial_residual.  done is true once the solver has
-    reached the step where the bidiagonalization terminated, which a
-    continued recursion may have passed already (see wlsqr_run).
+    is available as initial_residual, and phibar is the latest phibar.  Only
+    x, w and rhobar, which the next rotation updates, are stored beside the
+    histories.  done is true once the solver has reached the step where the
+    bidiagonalization terminated, which a continued recursion may have
+    passed already (see wlsqr_run).
     """
 
     x: np.ndarray
     w: np.ndarray | None
-    phibar: float
     rhobar: float
     bidiag: BidiagState
     residual_norms: list = field(default_factory=list)
@@ -56,6 +57,11 @@ class WlsqrState:
     @property
     def k(self):
         return len(self.residual_norms)
+
+    @property
+    def phibar(self):
+        """phibar_{k+1} = ||A x_k - b||_2 as the recurrence tracks it."""
+        return self.residual_norms[-1] if self.residual_norms else self.initial_residual
 
     @property
     def done(self):
@@ -81,8 +87,7 @@ def _start(a, bid):
     """The solver state x_0 = 0 of wlsqr_init on the recursion bid, which
     may already hold later steps."""
     w = None if bid.termination_step == 0 else bid.Q[:, 0].copy()
-    return WlsqrState(x=np.zeros(a.shape[1]), w=w, phibar=bid.betas[0],
-                      rhobar=bid.alphas[0], bidiag=bid)
+    return WlsqrState(x=np.zeros(a.shape[1]), w=w, rhobar=bid.alphas[0], bidiag=bid)
 
 
 def _rotate(rhobar, phibar, beta, alpha):
@@ -110,14 +115,14 @@ def wlsqr_step(state, a, weight):
     if bid.k < i:
         wgkb_step(bid, a, weight)
     if bid.termination_step == i:
-        state.x, state.phibar = _terminal_solution(bid)
+        state.x, phibar = _terminal_solution(bid)
         state.w = None
     else:
-        rho, theta_next, phi, state.rhobar, state.phibar = _rotate(
+        rho, theta_next, phi, state.rhobar, phibar = _rotate(
             state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
         state.x = state.x + (phi / rho) * state.w
         state.w = bid.Q[:, i] - (theta_next / rho) * state.w
-    state.residual_norms.append(state.phibar)
+    state.residual_norms.append(phibar)
     state.solution_m_norms.append(weight.norm(state.x))
     return state
 

@@ -38,22 +38,28 @@ def _sqrt_dot(x, y=None, factor=1.0):
     return float(factor * np.sqrt(cx) * np.sqrt(cy) * np.sqrt(max(sq, 0.0)))
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class WeightMatrix:
     """SPD weight matrix, stored either as a diagonal or as a dense array.
 
     Construct through the classmethods :meth:`diagonal`, :meth:`dense`, or
     :meth:`identity`.  Validation is eager: non-SPD input raises ValueError at
     construction, naming the failing pivot.  The triangular factor is computed
-    once at construction and cached; instances are immutable afterwards, so
-    sharing across threads is safe.
+    once at construction and cached.  M is stored as a private copy, and it
+    and the factor are read-only, so instances are immutable (an in-place
+    edit raises ValueError) and sharing across threads is safe.
     """
 
     def __init__(self, kind, diag=None, matrix=None):
         if kind not in ("diagonal", "dense"):
             raise ValueError(f"unknown weight kind {kind!r}")
         self.kind = kind
-        self._diag = diag
-        self._matrix = matrix
+        self._diag = None if diag is None else _read_only(np.array(diag, dtype=float))
+        self._matrix = None if matrix is None else _read_only(0.5 * (matrix + matrix.T))
         self._sqrt_diag = None
         self._factor = None
         if kind == "diagonal":
@@ -77,7 +83,7 @@ class WeightMatrix:
             raise ValueError("dense weight matrix must be square")
         if not np.all(np.isfinite(a)):
             raise ValueError("dense weight matrix must be finite")
-        return cls("dense", matrix=0.5 * (a + a.T))
+        return cls("dense", matrix=a)
 
     @classmethod
     def identity(cls, n):
@@ -120,7 +126,7 @@ class WeightMatrix:
             hit = re.search(r"(\d+)", str(exc))
             pivot = f" (pivot {a.shape[0] - int(hit.group(1))})" if hit else ""
             raise ValueError(f"not positive definite{pivot}") from exc
-        self._factor = c[::-1, ::-1].T
+        self._factor = _read_only(c[::-1, ::-1].T)
         d = np.abs(np.diag(self._factor))
         cond = (d.max() / d.min()) ** 2
         if cond > _COND_WARN:
@@ -137,7 +143,7 @@ class WeightMatrix:
 
     @property
     def diag(self):
-        """Diagonal entries (diagonal kind only)."""
+        """Diagonal entries (diagonal kind only), a read-only array."""
         if self.kind != "diagonal":
             raise ValueError("diag is only stored for the diagonal kind")
         return self._diag

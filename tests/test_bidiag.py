@@ -310,8 +310,8 @@ def test_a_cancelling_vector_takes_the_second_pass():
     pm, weight, qm = orthonormal_bases(rng)
     left = cancelling(rng, pm, np.eye(40))
     right = cancelling(rng, qm, weight.factor())
-    for (v, norm), basis, mv in ((bidiag._reorth_left(left, pm), pm, lambda x: x),
-                                 (bidiag._reorth_right(right, qm, weight), qm,
+    for (v, norm), basis, mv in ((bidiag._reorth(left, pm), pm, lambda x: x),
+                                 (bidiag._reorth(right, qm, weight), qm,
                                   weight.matvec)):
         # one pass would leave basis^T M v near 1e-6 of ||v||
         assert np.linalg.norm(basis.T @ mv(v)) <= 1e-14 * norm
@@ -323,9 +323,9 @@ def test_a_vector_that_keeps_its_norm_takes_one_pass():
     pm, weight, qm = orthonormal_bases(rng)
     r, s = rng.standard_normal(40), rng.standard_normal(30)
     once = r - pm @ (pm.T @ r)
-    assert np.array_equal(bidiag._reorth_left(r, pm)[0], once)
+    assert np.array_equal(bidiag._reorth(r, pm)[0], once)
     once = s - qm @ (qm.T @ weight.matvec(s))
-    assert np.array_equal(bidiag._reorth_right(s, qm, weight)[0], once)
+    assert np.array_equal(bidiag._reorth(s, qm, weight)[0], once)
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +418,33 @@ def test_a_terminated_run_stores_alpha_next_as_zero(case, k):
     assert len(state.alphas) == len(state.betas) == k + 1
     assert state.alphas[k] == 0.0
     assert (state.betas[k] == 0.0) == (case is beta_breakdown)
+
+
+def running():
+    # ten steps from a b whose norm beta_1 exceeds every entry of B_k
+    a, _, b = setup_random(55, dense_weight=False)
+    return a, 1e3 * b
+
+
+@pytest.mark.parametrize("case, k, p_cols, q_cols",
+                         [(running, 10, 11, 11), (orthogonal_start, 0, 1, 0),
+                          (alpha_breakdown, 2, 3, 2), (beta_breakdown, 1, 1, 1)],
+                         ids=["running", "orthogonal-start", "alpha-breakdown",
+                              "beta-breakdown"])
+def test_every_run_fact_follows_from_the_recorded_scalars(case, k, p_cols, q_cols):
+    a, b = case()
+    state = run_steps(a, WeightMatrix.identity(a.shape[1]), b, 10)
+    done = case is not running
+    assert state.k == k
+    assert state.P.shape[1] == p_cols == k + (state.betas[k] != 0.0)
+    assert state.Q.shape[1] == q_cols == k + (state.alphas[k] != 0.0)
+    assert state.terminated == done == (state.alphas[k] == 0.0)
+    assert state.termination_step == (k if done else None)
+    # the scale is the largest entry of B_k and alpha_{k+1}; beta_1 is none
+    entries = [state.alphas[k], *(project_bidiagonal(state).ravel() if k else ())]
+    assert state.scale == max(entries)
+    if case is running:
+        assert state.scale < state.betas[0]
 
 
 def test_init_rejects_a_negative_budget():
@@ -609,19 +636,14 @@ def test_the_envelope_keeps_every_stop_of_a_solve(name, blocks, monkeypatch, ste
 
 @pytest.mark.parametrize("name", ["phillips", "shaw"])
 def test_one_pass_unless_it_cancels_keeps_every_stop_of_a_solve(name, monkeypatch, steps):
-    # against the Gram-Schmidt helpers that always make two passes
-    def left(r, pm):
+    # against a Gram-Schmidt helper that always makes two passes
+    def twice(v, basis, weight=None):
+        mv = (lambda x: x) if weight is None else weight.matvec
         for _ in range(2):
-            r = r - pm @ (pm.T @ r)
-        return r, np.sqrt(r @ r)
-
-    def right(s, qm, weight):
-        for _ in range(2):
-            s = s - qm @ (qm.T @ weight.matvec(s))
-        return s, weight.norm(s)
+            v = v - basis @ (basis.T @ mv(v))
+        return v, np.sqrt(v @ mv(v))
 
     solve = three_rules(name, steps)
     lean = solve()
-    monkeypatch.setattr(bidiag, "_reorth_left", left)
-    monkeypatch.setattr(bidiag, "_reorth_right", right)
+    monkeypatch.setattr(bidiag, "_reorth", twice)
     assert_same_stops(lean, solve())

@@ -489,6 +489,18 @@ def test_triplets_rejects_an_empty_request_before_any_work(tmp_path, capsys, mon
     assert f"{option} must be >= 1" in err and "terminated" not in err
 
 
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_a_non_finite_epsilon_exits_1_and_writes_nothing(tmp_path, capsys, command,
+                                                         epsilon):
+    out = tmp_path / "out"
+    rc = main([command, "--problem", "shaw", "--m", "40", "--n", "31",
+               "--epsilon", epsilon, "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    assert f"epsilon must be finite and >= 0, got {epsilon}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     # dp without noise, for each method that selects with the rule
     for method in ("wlsqr", "lsqr", "twsvd"):

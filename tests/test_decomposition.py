@@ -205,6 +205,13 @@ def test_tikhonov_rejects_negative_lambda():
         tikhonov_wsvd(f, np.ones(3), -1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_tikhonov_rejects_a_non_finite_lambda(lam):
+    f = wsvd(np.eye(3), WeightMatrix.identity(3))
+    with pytest.raises(ValueError, match=f"must be finite and >= 0, got {lam}"):
+        tikhonov_wsvd(f, np.ones(3), lam)
+
+
 def test_wsvd_input_validation():
     w = WeightMatrix.identity(3)
     with pytest.raises(ValueError):

@@ -260,6 +260,13 @@ def test_add_noise_zero_epsilon():
         add_noise(prob, -1e-3, 0)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_add_noise_rejects_a_non_finite_epsilon(epsilon):
+    prob = build_problem("shaw", 40, 31)
+    with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+        add_noise(prob, epsilon, 0)
+
+
 def test_condition_identity():
     from wsvd.problems import TestProblem
     from wsvd import WeightMatrix

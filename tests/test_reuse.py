@@ -185,22 +185,29 @@ def test_concurrent_calls_never_share_a_kept_run():
 
 def _negate(a, weight, b):
     a *= -1
+    return a, weight, b
 
 
 def _one_ulp(a, weight, b):
     a[40, 30] = np.nextafter(a[40, 30], np.inf)
+    return a, weight, b
 
 
 def _swap_rows(a, weight, b):
     a[[3, 70]] = a[[70, 3]]
+    return a, weight, b
 
 
 def _edit_weight(a, weight, b):
-    weight.diag[17] *= 2.0
+    # a WeightMatrix is read-only, so an edited M is a new one
+    diag = weight.diag.copy()
+    diag[17] *= 2.0
+    return a, WeightMatrix.diagonal(diag), b
 
 
 def _edit_b(a, weight, b):
     b[5] += 1e-3
+    return a, weight, b
 
 
 @pytest.mark.parametrize("edit", [_negate, _one_ulp, _swap_rows, _edit_weight, _edit_b],
@@ -208,14 +215,14 @@ def _edit_b(a, weight, b):
 def test_an_input_edited_in_place_runs_afresh(shaw_case, steps, edit):
     problem, noisy, rules = shaw_case
     a, b = problem.a.copy(), noisy.b.copy()
-    weight = WeightMatrix.diagonal(problem.weight.diag.copy())
+    weight = WeightMatrix.diagonal(problem.weight.diag)
     rule = rules["lc"]
     evict()
     for _ in range(3):
         steps[0] = 0
         spr_solve(a, weight, b, rule, max_iter=MAX_ITER, x_true=problem.x_true)
     assert steps[0] == 0  # the unedited inputs replay the kept run
-    edit(a, weight, b)
+    a, weight, b = edit(a, weight, b)
     steps[0] = 0
     got = spr_solve(a, weight, b, rule, max_iter=MAX_ITER, x_true=problem.x_true)
     assert steps[0] > 0

@@ -2,8 +2,10 @@
 loops, and the command line drives it only through the library's paths."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wsvd
@@ -105,3 +107,25 @@ def test_only_spr_solve_continues_a_kept_recursion():
     assert continuing == {("wlsqr_run", "regularization.py", "spr_solve")}
     assert slot_users == {("regularization.py", "_take_kept"),
                           ("regularization.py", "spr_solve")}
+
+
+def test_a_krylov_run_stores_its_bases_envelope_and_scalars_only():
+    # every other fact of a run is derived from these five
+    assert {f.name for f in dataclasses.fields(wsvd.BidiagState)} == {
+        "p_buf", "q_buf", "envelope", "alphas", "betas"}
+
+
+def _records():
+    a, weight, b = np.diag([3.0, 2.0, 1.0]), wsvd.WeightMatrix.identity(3), np.ones(3)
+    _, record = wsvd.spr_solve(a, weight, b, wsvd.StoppingRule("maxiter"))
+    return {"bidiag": wsvd.wgkb_run(a, weight, b, 2), "record": record,
+            "fact": wsvd.wsvd(a, weight), "solver": wsvd.wlsqr_run(a, weight, b)}
+
+
+@pytest.mark.parametrize("owner, name", [("bidiag", "terminated"), ("bidiag", "scale"),
+                                         ("record", "ks"), ("fact", "rank"),
+                                         ("solver", "phibar")])
+def test_a_derived_run_fact_cannot_be_assigned(owner, name):
+    obj = _records()[owner]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(obj, name))

@@ -162,3 +162,28 @@ def test_diag_property_requires_diagonal():
     w = WeightMatrix.dense(random_spd(rng, 4))
     with pytest.raises(ValueError):
         _ = w.diag
+
+
+def test_a_diagonal_weight_keeps_its_own_read_only_entries():
+    arr = np.array([1.0, 4.0])
+    w = WeightMatrix.diagonal(arr)
+    with pytest.raises(ValueError, match="read-only"):
+        w.diag[0] = 9.0
+    arr[0] = 9.0  # the caller's array is not the stored one
+    assert np.array_equal(w.matvec([1.0, 1.0]), [1.0, 4.0])
+    assert w.norm([1.0, 0.0]) == 1.0
+    assert np.array_equal(w.factor(), np.diag([1.0, 2.0]))
+
+
+def test_a_dense_weight_keeps_its_own_read_only_matrix_and_factor():
+    rng = np.random.default_rng(10)
+    arr = random_spd(rng, 4)
+    w = WeightMatrix.dense(arr)
+    stored, factor = w.as_array(), w.factor().copy()
+    arr[0, 0] += 5.0
+    assert np.array_equal(w.as_array(), stored)
+    assert np.array_equal(w.factor(), factor)
+    with pytest.raises(ValueError, match="read-only"):
+        w.factor()[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w._matrix[0, 0] = 1.0
