@@ -76,7 +76,10 @@ class WsvdFactorization:
         return self.v[:, self.rank:]
 
 
-def _checked_matrix(a, weight):
+def _checked_matrix(a, weight, scan=True):
+    """a as a float array, checked against weight; scan=False skips the
+    finiteness scan, two reads of A, for a caller that runs the recursion
+    on A first: wgkb_init rejects NaN and inf through A^T p_1."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
@@ -84,7 +87,7 @@ def _checked_matrix(a, weight):
         raise ValueError("matrix must have at least one row and one column")
     # NaN propagates through min and max and an infinity is one of them, so
     # this needs no bool array of A's size
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if scan and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix entries must be finite")
     if a.shape[1] != weight.n:
         raise ValueError(
@@ -155,7 +158,8 @@ def wsvd(a, weight, full_matrices=False, start=None):
     -------
     WsvdFactorization
     """
-    a = _checked_matrix(a, weight)
+    # with a start, the recursion runs before any dense work and checks A
+    a = _checked_matrix(a, weight, scan=start is None)
     if start is not None:
         if full_matrices:
             raise ValueError("a starting vector gives a partial factorization; "

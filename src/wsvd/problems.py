@@ -7,7 +7,9 @@ M-norm to the continuous L2 norm, which is what makes the M-geometry the
 faithful one for these problems.
 """
 
+import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +33,14 @@ DOMAINS = {
 PROBLEM_NAMES = tuple(TABLE_DIMS)
 
 # A is filled in row blocks of about this many bytes, so that every
-# temporary of the kernel formulas is block-sized and stays in cache
+# temporary of the kernel formulas is block-sized and stays in cache, and
+# each block's rows of b_exact are one GEMV far below OpenBLAS's threading
+# size
 _BLOCK_BYTES = 256 * 1024
+
+# At most this many threads fill A; each holds one block of temporaries
+# (about 0.29 MB for shaw), which the 5% memory bound on a build allows
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -164,38 +172,83 @@ def true_solution(name, t):
     raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
 
 
+def _size(label, value):
+    """value as an int through operator.index; a bool, float or string
+    raises TypeError naming label."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{label} must be an integer, got {value!r}")
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_problem(name, m=None, n=None):
     """Assemble a test problem; dimensions default to the reference table.
 
     A is allocated once and filled in place in row blocks of about
-    _BLOCK_BYTES, so the build holds A plus one block of temporaries; the
-    entries have the bits of kernel_eval over the whole grid, times w.
+    _BLOCK_BYTES; the entries have the bits of kernel_eval over the whole
+    grid, times w.  Each block's rows of b_exact are the block times x_true,
+    taken while the block is in cache, so A is read once and b_exact does
+    not depend on the BLAS thread count.  The blocks are shared out to the
+    caller and min(CPUs, blocks, _MAX_WORKERS) - 1 helper threads, joined
+    before the build returns; the build holds A plus one block of
+    temporaries per thread.
     """
     if name not in TABLE_DIMS:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     dm, dn = TABLE_DIMS[name]
-    m = dm if m is None else int(m)
-    n = dn if n is None else int(n)
+    m = dm if m is None else _size("m", m)
+    n = dn if n is None else _size("n", n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t1, t2 = DOMAINS[name]
     t = np.linspace(t1, t2, n)
     s = np.linspace(t1, t2, m)
     w = simpson_weights(n, t1, t2)
+    x_true = true_solution(name, t)
     a = np.empty((m, n))
+    b_exact = np.empty(m)
     rows = max(1, _BLOCK_BYTES // (8 * n))
     t_terms = _t_terms(name, t[None, :])
-    for j in range(0, m, rows):
-        block = a[j:j + rows]
-        _kernel_into(name, s[j:j + rows, None], t_terms, block)
-        block *= w
-    x_true = true_solution(name, t)
+    # next() on a range iterator is atomic under the GIL, so every block is
+    # taken by exactly one thread
+    blocks = iter(range(0, m, rows))
+
+    errors = []
+
+    def fill():
+        try:
+            for j in blocks:
+                block = a[j:j + rows]
+                _kernel_into(name, s[j:j + rows, None], t_terms, block)
+                block *= w
+                np.matmul(block, x_true, out=b_exact[j:j + rows])
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=fill)
+               for _ in range(min(_cpus(), -(-m // rows), _MAX_WORKERS) - 1)]
+    for thread in helpers:
+        thread.start()
+    fill()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return TestProblem(
         name=name,
         a=a,
         weight=WeightMatrix.diagonal(w),
         x_true=x_true,
-        b_exact=a @ x_true,
+        b_exact=b_exact,
         s_grid=s,
         t_grid=t,
     )

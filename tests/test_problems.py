@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 import wsvd
+import wsvd.problems
 
 from conftest import traced_peak
 from wsvd import (add_noise, build_problem, condition_estimate, kernel_eval,
@@ -104,7 +106,87 @@ def test_assembly_bit_identical_to_out_of_place(name, m, n):
     ref = _out_of_place_kernel(name, s[:, None], t[None, :]) * prob.weight.diag[None, :]
     assert prob.a.flags.c_contiguous
     assert np.array_equal(prob.a, ref)
-    assert np.array_equal(prob.b_exact, ref @ true_solution(name, t))
+    # b_exact is the row-block product, whose bits do not depend on the BLAS
+    # thread count as those of one ref @ x do
+    x, rows = true_solution(name, t), _block_rows(prob.n)
+    assert np.array_equal(prob.b_exact, np.concatenate(
+        [ref[j:j + rows] @ x for j in range(0, prob.m, rows)]))
+
+
+def _block_rows(n):
+    return max(1, wsvd.problems._BLOCK_BYTES // (8 * n))
+
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("m,n", [(40, 31), (600, 501), (131, 501), (3, 3), (1, 3),
+                                 pytest.param(None, None, id="table")])
+def test_a_build_is_the_same_on_one_worker_and_on_four(monkeypatch, name, m, n):
+    kernel_into, idents = wsvd.problems._kernel_into, set()
+
+    def spy(*args):
+        idents.add(threading.get_ident())
+        return kernel_into(*args)
+
+    monkeypatch.setattr(wsvd.problems, "_kernel_into", spy)
+    _on_cpus(monkeypatch, 1)
+    ref = build_problem(name, m, n)
+    assert idents == {threading.get_ident()}  # one CPU: the caller alone
+    _on_cpus(monkeypatch, 4)  # more threads than this host may have cores
+    blocks = -(-ref.m // _block_rows(ref.n))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so a block taken twice or never shows
+    try:
+        for _ in range(10):
+            idents.clear()
+            prob = build_problem(name, m, n)
+            assert np.array_equal(prob.a, ref.a)
+            assert np.array_equal(prob.b_exact, ref.b_exact)
+            assert len(idents) <= min(blocks, 4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_build_does_not_depend_on_the_blas_thread_count():
+    # one a @ x_true of table-size shaw or expst differs in its last bits
+    # between one and two OpenBLAS threads; the row-block product does not
+    code = (
+        "import hashlib, wsvd\n"
+        f"for name in {PROBLEMS!r}:\n"
+        "    p = wsvd.build_problem(name)\n"
+        "    print(name, hashlib.sha256(p.a.tobytes()).hexdigest(),"
+        " hashlib.sha256(p.b_exact.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsvd.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert len(outs[0].splitlines()) == len(PROBLEMS)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("failing", ["first", "middle", "every"])
+def test_an_error_in_a_block_propagates_and_leaves_no_thread(monkeypatch, failing):
+    kernel_into = wsvd.problems._kernel_into
+    prob = build_problem("shaw", 600, 501)  # 10 blocks of 65 rows
+    starts = {"first": [0], "middle": [5 * 65], "every": range(0, 600, 65)}[failing]
+    bad = {prob.s_grid[j] for j in starts}
+
+    def failing_kernel(name, s, t, out):
+        if s[0, 0] in bad:
+            raise ArithmeticError(f"block at s = {s[0, 0]}")
+        return kernel_into(name, s, t, out)
+
+    monkeypatch.setattr(wsvd.problems, "_kernel_into", failing_kernel)
+    _on_cpus(monkeypatch, 4)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="block at s"):
+        build_problem("shaw", 600, 501)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("name,s,t", [
@@ -146,7 +228,8 @@ def test_build_problem_peak_memory_at_table_size(name):
 
 def test_import_and_diagonal_solve_load_no_scipy(tmp_path):
     # only dense weights use scipy; no built-in problem has one.  The build
-    # is single-threaded by design: it starts no thread and loads no pool
+    # fills A on plain threads that it joins before it returns, so no thread
+    # outlives it, and it loads no pool
     code = (
         "import sys, threading, wsvd, wsvd.cli\n"
         "threads = threading.active_count()\n"
@@ -200,6 +283,12 @@ def test_build_problem_validation():
         build_problem("green", 0, 31)
     with pytest.raises(ValueError):
         build_problem("nope", 40, 31)
+    # a size that is not an integer is rejected, not truncated
+    for m, n, label in ((120.9, 101, "m"), (120, 101.5, "n"), (True, 101, "m"),
+                        ("120", 101, "m"), (120, np.float64(101.0), "n")):
+        with pytest.raises(TypeError, match=f"^{label} must be an integer"):
+            build_problem("shaw", m, n)
+    assert build_problem("shaw", np.int64(12), np.int32(11)).a.shape == (12, 11)
 
 
 def test_assembly_matches_direct_sum():

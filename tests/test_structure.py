@@ -129,3 +129,24 @@ def test_a_derived_run_fact_cannot_be_assigned(owner, name):
     obj = _records()[owner]
     with pytest.raises(AttributeError):
         setattr(obj, name, getattr(obj, name))
+
+
+def test_only_build_problem_starts_threads():
+    # its helpers were measured faster than one thread (no BLAS call of
+    # theirs wakes OpenBLAS's pool); any other thread or pool in the package
+    # needs a measurement of its own
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owners |= {(path.name, getattr(top, "name", None))
+                       for node in ast.walk(top)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Thread"}
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {mod.split(".")[0] for mod in modules} & {"concurrent", "multiprocessing"}, \
+            path.name
+    assert owners == {("problems.py", "build_problem")}
