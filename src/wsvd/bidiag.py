@@ -22,6 +22,10 @@ all-zero columns at either end of a block (as in a banded kernel such as
 phillips) are never read again.  Adjacent blocks with the same columns
 merge, so a dense A is one block and its products are the plain BLAS
 calls.  Zeros inside a block's column range are still read and multiplied.
+
+A product's rounding, and with it every bit of a run down to its
+termination step, depends on the BLAS thread count, so a run is
+reproducible bit for bit only at a fixed count.
 """
 
 from dataclasses import dataclass
@@ -45,9 +49,6 @@ BREAK_TOL = 1e-14
 # 32- to 128-column panels were within 0.1 ms.
 ENVELOPE_ROWS = 512
 ENVELOPE_COLS = 64
-# columns at each side of a block's first and last row that the scan tests
-# first (a cache line each), so a dense block costs no pass over a row
-_EDGE = 8
 
 
 @dataclass
@@ -125,18 +126,6 @@ def _view(buf, cols):
     return view
 
 
-def _guess(ends, n):
-    """Panel-aligned columns (g0, g1) that hold every nonzero of ends, the
-    first and last row of a block; (n, 0) when ends is all zero."""
-    if ends[:, :_EDGE].any() and ends[:, -_EDGE:].any():
-        return 0, n  # dense at both sides: no pass over the two rows
-    hit = np.flatnonzero(ends.any(axis=0))
-    if not hit.size:
-        return n, 0
-    first, last = int(hit[0]) // ENVELOPE_COLS, int(hit[-1]) // ENVELOPE_COLS
-    return first * ENVELOPE_COLS, min(n, (last + 1) * ENVELOPE_COLS)
-
-
 def _row_bounds(m):
     """Boundaries of ceil(m / ENVELOPE_ROWS) row blocks whose heights differ
     by at most one row."""
@@ -150,11 +139,8 @@ def _envelope(a):
     boundaries (or n); an all-zero block is (r0, r1, 0, 0).  Adjacent blocks
     with the same columns merge, so a dense a gives ((0, m, 0, n),).
 
-    A block's columns are guessed from its first and last row, which bound
-    a band, and the guess is checked by reading the columns it leaves out
-    (one call per side).  Where that finds a nonzero, the side is searched
-    again panel by panel.  NaN and inf are nonzero here (.any() is true
-    for them), so they are never skipped.
+    Each block is searched panel by panel from each side.  NaN and inf are
+    nonzero here (.any() is true for them), so they are never skipped.
     """
     m, n = a.shape
     panels = range(0, n, ENVELOPE_COLS)
@@ -162,12 +148,10 @@ def _envelope(a):
     blocks = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         rows = a[r0:r1]
-        c0, c1 = _guess(rows[::max(1, r1 - r0 - 1)], n)
-        if c0 and rows[:, :c0].any():
-            c0 = next(c for c in panels if rows[:, c:c + ENVELOPE_COLS].any())
-        if c1 < n and rows[:, c1:].any():
-            c1 = min(n, ENVELOPE_COLS + next(
-                c for c in panels[::-1] if rows[:, c:c + ENVELOPE_COLS].any()))
+        c0 = next((c for c in panels if rows[:, c:c + ENVELOPE_COLS].any()), n)
+        # from the right, never past c0: an all-zero block is not read twice
+        c1 = next((min(n, c + ENVELOPE_COLS) for c in panels[::-1]
+                   if c >= c0 and rows[:, c:c + ENVELOPE_COLS].any()), 0)
         if c0 >= c1:
             c0 = c1 = 0
         if blocks and blocks[-1][2:] == (c0, c1):
@@ -227,9 +211,9 @@ def wgkb_init(a, weight, b, max_steps=None):
     ValueError for a negative max_steps, for b = 0 and for non-finite
     entries in b or A.  A is scanned once for its envelope, which never
     skips a NaN or inf, so each one reaches A^T p_1 (NaN * 0 and inf * 0
-    are NaN), which is checked.  If b
-    is orthogonal to the range of A the returned state is already
-    terminated with termination_step 0 and alphas == [0.0].
+    are NaN), which is checked.  If b is orthogonal to the range of A the
+    returned state is already terminated with termination_step 0 and
+    alphas == [0.0].
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

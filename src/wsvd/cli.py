@@ -28,10 +28,9 @@ from .decomposition import covers, wsvd
 from .problems import (PROBLEM_NAMES, add_noise, build_problem, load_problem,
                        save_problem, write_array)
 from .regularization import (DEFAULT_TAU, RULES, RunRecord, StoppingRule,
-                             lcurve_curvature, select, spr_solve, tikhonov_opt,
-                             twsvd_record)
+                             lcurve_curvature, lsqr_baseline, select, spr_solve,
+                             tikhonov_opt, twsvd_record)
 from .solver import wlsqr_run  # noqa: F401  not called here; bench/tracing.py wraps this name
-from .weights import WeightMatrix
 
 METHODS = ("wlsqr", "lsqr", "tikh-opt", "twsvd")
 
@@ -53,6 +52,10 @@ class ExperimentConfig:
     tau: float = DEFAULT_TAU
     max_iter: int | None = None
     out: str = "."
+
+    def __post_init__(self):
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"--max-iter must be >= 1, got {self.max_iter}")
 
     def to_text(self):
         lines = []
@@ -158,10 +161,13 @@ def _write_csv(path, header, rows):
 # -- histories shared by solve and sweep -------------------------------------
 
 def _rules(cfg, problem, noisy):
-    """The stopping rules of cfg for one noisy instance.  StoppingRule raises
-    ValueError for a rule it cannot apply (a dp with a tau that is not
-    finite and > 1 or without noise, an oracle without x_true), which exits
-    1 before any row is written."""
+    """The stopping rules of cfg for one noisy instance, or none when cfg's
+    only method is tikh-opt, which picks its parameter by the error.
+    StoppingRule raises ValueError for a rule it cannot apply (a dp with a
+    tau that is not finite and > 1 or without noise, an oracle without
+    x_true), which exits 1 before any row is written."""
+    if all(method == "tikh-opt" for method in cfg.methods):
+        return []
     noise = float(np.linalg.norm(noisy.e))
     return [StoppingRule(kind, tau=cfg.tau, noise_norm=noise, x_true=problem.x_true)
             for kind in cfg.rules]
@@ -172,8 +178,10 @@ def _history(method, rule, problem, noisy, cfg, fact):
     the factorization fact."""
     if method == "twsvd":
         return select(rule, twsvd_record(fact, noisy.b, problem.x_true, cfg.max_iter))
-    weight = problem.weight if method == "wlsqr" else WeightMatrix.identity(problem.n)
-    return spr_solve(problem.a, weight, noisy.b, rule, max_iter=cfg.max_iter,
+    if method == "lsqr":
+        return lsqr_baseline(problem.a, noisy.b, rule, max_iter=cfg.max_iter,
+                             x_true=problem.x_true)[1]
+    return spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=cfg.max_iter,
                      x_true=problem.x_true)[1]
 
 
@@ -212,9 +220,7 @@ def cmd_solve(args):
     method = _single(cfg.methods, "--method")
     rule_kind = _single(cfg.rules, "--rule")
     epsilon, seed, problem, noisy = _instance(cfg, args.indir)
-    # tikh-opt picks its parameter by the error and selects with no rule, so
-    # only the other methods build (and validate) theirs
-    rule = None if method == "tikh-opt" else _rules(cfg, problem, noisy)[0]
+    rules = _rules(cfg, problem, noisy)
 
     t0 = time.perf_counter()
     fact = None
@@ -228,7 +234,7 @@ def cmd_solve(args):
                  _fmt(problem.weight.norm(x)), _fmt(rel_err))]
         stop_k = 0
     else:
-        record = _history(method, rule, problem, noisy, cfg, fact)
+        record = _history(method, rules[0], problem, noisy, cfg, fact)
         rows = [(str(k), _fmt(record.residual_norms[k - 1]),
                  _fmt(record.solution_m_norms[k - 1]), _fmt(record.rel_errors[k - 1]))
                 for k in record.ks]
@@ -375,8 +381,6 @@ def cmd_triplets(args):
     steps = cfg.max_iter if cfg.max_iter is not None else 30
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    if steps < 1:
-        raise ValueError(f"--max-iter must be >= 1, got {steps}")
     _, _, problem, noisy = _instance(cfg)
     state = wgkb_run(problem.a, problem.weight, noisy.b, steps)
     if state.k == 0:

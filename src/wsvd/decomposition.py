@@ -105,18 +105,10 @@ def _fix_signs(u, v, coupled):
     """Make each u column's first nonzero entry positive; the first `coupled`
     v columns flip together with their u partner, later v columns (null-space
     vectors in full form) are normalized by their own first nonzero entry."""
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            if j < coupled:
-                v[:, j] = -v[:, j]
-    for j in range(coupled, v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
+    flips = [x[np.argmax(x != 0, axis=0), np.arange(x.shape[1])] < 0 for x in (u, v)]
+    flips[1][:coupled] = flips[0][:coupled]
+    for x, flip in zip((u, v), flips):
+        np.negative(x, out=x, where=flip)
     return u, v
 
 

@@ -340,12 +340,14 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     one the kept run stored.  The first repeat computes that digest and
     runs afresh, so the third and later calls on unchanged inputs replay
     the kept recursion, and step it further when they need more steps.
-    Each such result has the bits of a fresh run.  The crc32 is a 32-bit
-    checksum, not a proof of equality: it catches every in-place edit of A
-    confined to 32 consecutive bits (the low mantissa bits of one entry,
-    say), but an edit that keeps the checksum, with a chance of about
-    2**-32 for an arbitrary one, replays the stale recursion.  b and a
-    diagonal M are compared in full; a WeightMatrix is read-only.
+    Each such result has the bits of a fresh run at a fixed BLAS thread
+    count; a kept run replays the count it was computed under.  The crc32
+    is a 32-bit checksum, not a proof of equality: it catches every
+    in-place edit of A confined to 32 consecutive bits (the low mantissa
+    bits of one entry, say), but an edit that keeps the checksum, with a
+    chance of about 2**-32 for an arbitrary one, replays the stale
+    recursion.  b and a diagonal M are compared in full; a WeightMatrix is
+    read-only.
 
     At most one run is kept: its bases for the step budget,
     8 * budget * (m + n) bytes (about 12 MB for green at table size, 160 MB

@@ -18,8 +18,10 @@ The solver can also continue a recursion that an earlier run of the same a,
 weight and b left behind (wlsqr_run's private _bidiag, which only spr_solve
 passes, with a recursion it never hands out).  Its steps first replay the
 columns that recursion already holds, stepping it further only once they
-have caught up, so every iterate and norm has the bits of a fresh run: the
-recursion is deterministic and each step reads only its own columns.
+have caught up, so at a fixed BLAS thread count every iterate and norm has
+the bits of a fresh run: the recursion is then deterministic and each step
+reads only its own columns.  A replayed column keeps the thread count it was
+computed under.
 """
 
 from dataclasses import dataclass, field
@@ -136,7 +138,8 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     spr_solve: a recursion of these same a, weight and b, run for this
     budget, that the solver continues instead of calling wlsqr_init.  Its
     first steps replay the columns it holds, and the result has the bits of
-    a fresh run.  Nothing checks that it fits.
+    a fresh run at the BLAS thread count they were computed under.  Nothing
+    checks that it fits.
     callback(k, x, residual_norm, solution_m_norm) is invoked after each
     step; a truthy return stops the run.  The x passed to the callback is
     never mutated by later steps.

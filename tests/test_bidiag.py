@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -582,10 +584,66 @@ def test_a_non_finite_entry_where_a_block_would_be_trimmed_still_raises(bad, blo
     a = banded()
     r0, r1, c0, c1 = bidiag._envelope(a)[block]
     assert c0 > 0 if col == 0 else c1 < a.shape[1]
-    # an inner row, so the scan's guess from the block's first and last row misses it
+    # an inner row, in a column panel that holds no other nonzero of the block
     a[(r0 + r1) // 2, col] = bad
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         wgkb_init(a, WeightMatrix.identity(a.shape[1]), np.ones(a.shape[0]))
+
+
+def brute_force_envelope(a):
+    """_envelope's blocks from every nonzero column of each row block,
+    rounded out to whole panels, with equal neighbours merged."""
+    n, width = a.shape[1], bidiag.ENVELOPE_COLS
+    bounds = bidiag._row_bounds(a.shape[0])
+    blocks = []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        cols = np.flatnonzero(a[r0:r1].any(axis=0))
+        span = (0, 0)
+        if cols.size:
+            span = (int(cols[0]) // width * width, min(n, (int(cols[-1]) // width + 1) * width))
+        blocks.append((r0, r1, *span))
+    merged = []
+    for span, group in itertools.groupby(blocks, key=lambda b: b[2:]):
+        group = list(group)
+        merged.append((group[0][0], group[-1][1], *span))
+    return tuple(merged)
+
+
+def block_sparse(seed):
+    """A few random dense rectangles in a zero matrix whose m lies below or
+    above ENVELOPE_ROWS and whose n is no multiple of ENVELOPE_COLS.  One
+    row block is emptied and then given a lone 1, NaN, inf or -inf at
+    column 0 or n - 1 of an inner row; another, where there is one, stays
+    empty.  seed runs over 0..11."""
+    rng = np.random.default_rng(seed)
+    m, n = (300, 1100, 1600)[seed % 3], (65, 333, 1000, 130)[seed % 4]
+    a = np.zeros((m, n))
+    for _ in range(rng.integers(1, 4)):
+        r0, c0 = rng.integers(0, m - 1), rng.integers(1, n - 2)
+        r1, c1 = rng.integers(r0 + 1, m), rng.integers(c0 + 1, n - 1)
+        a[r0:r1, c0:c1] = rng.standard_normal((r1 - r0, c1 - c0))
+    bounds = bidiag._row_bounds(m)
+    emptied = rng.permutation(len(bounds) - 1)[:2]
+    for i in emptied:
+        a[bounds[i]:bounds[i + 1]] = 0.0
+    row = rng.integers(bounds[emptied[0]] + 1, bounds[emptied[0] + 1] - 1)
+    a[row, (0, n - 1)[seed % 2]] = (1.0, np.nan, np.inf, -np.inf)[seed // 3]
+    return a
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, sliced],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("seed", range(12))
+def test_the_scan_matches_a_brute_force_reference(seed, layout):
+    a = layout(block_sparse(seed))
+    assert bidiag._envelope(a) == brute_force_envelope(a)
+
+
+def test_an_all_zero_last_panel_is_trimmed_however_narrow():
+    # at n = 65 the last panel is column 64 alone
+    a = np.ones((600, 65))
+    a[:, -1] = 0.0
+    assert bidiag._envelope(a) == brute_force_envelope(a) == ((0, 600, 0, 64),)
 
 
 def three_rules(name, steps):

@@ -285,6 +285,36 @@ def test_sweep_failed_cell_keeps_its_message(tmp_path, capsys):
     assert "got 3" in row["status"]
 
 
+@pytest.mark.parametrize("methods, rc", [(["tikh-opt"], 0), (["wlsqr", "tikh-opt"], 1)],
+                         ids=["tikh-opt", "mixed"])
+def test_sweep_builds_rules_only_for_a_method_that_selects_with_them(tmp_path, capsys,
+                                                                    methods, rc):
+    # tikh-opt applies no rule, so a noise-free dp is no error on its own,
+    # as in solve; next to wlsqr, which applies it, it still is
+    assert main(["sweep", "--problem", "shaw", "--m", "60", "--n", "51",
+                 "--method", *methods, "--rule", "dp", "--epsilon", "0",
+                 "--seed", "0", "--out", str(tmp_path)]) == rc
+    if rc:
+        assert "dp rule needs a positive" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_shaw.csv").exists()
+    else:
+        rows = read_csv(tmp_path / "sweep_shaw.csv")
+        assert [(r["method"], r["rule"], r["status"]) for r in rows] == [
+            ("tikh-opt", "oracle", "ok")]
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "sweep", "lcurve", "wsvd", "triplets"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_a_max_iter_below_one_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, value):
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    out = tmp_path / "out"
+    assert main([command, "--problem", "shaw", "--m", "60", "--n", "41",
+                 "--max-iter", value, "--out", str(out)]) == 1
+    assert f"--max-iter must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [["--tau", "0.5"], ["--epsilon", "0"]],
                          ids=["tau-below-1", "noise-free"])
 def test_sweep_rejects_a_rule_it_cannot_apply(tmp_path, capsys, bad):
@@ -446,7 +476,7 @@ def test_solve_twsvd_rejects_a_max_iter_below_one(tmp_path, capsys, value):
     assert main(["solve", "--problem", "shaw", "--m", "60", "--n", "41",
                  "--method", "twsvd", "--rule", "dp", "--max-iter", value,
                  "--out", str(tmp_path)]) == 1
-    assert f"max_iter must be >= 1, got {value}" in capsys.readouterr().err
+    assert f"--max-iter must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_wsvd_dump(tmp_path, capsys):

@@ -81,6 +81,17 @@ def test_sign_convention():
         assert first > 0
 
 
+def test_full_matrices_sign_convention():
+    # every u column and each null-space v column leads with a positive
+    # entry, and each coupled v column flips with its u partner
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((4, 7))
+    f = wsvd(a, random_weight(rng, 7, dense=True), full_matrices=True)
+    for col in (*f.u.T, *f.null_space.T):
+        assert col[np.flatnonzero(col)[0]] > 0
+    assert np.allclose(a @ f.v[:, :4], f.u * f.sigma, atol=1e-12)
+
+
 def test_full_matrices_null_space():
     rng = np.random.default_rng(13)
     # rank-3 matrix, 6 columns: null space has dimension 3
