@@ -381,6 +381,8 @@ def cmd_triplets(args):
     steps = cfg.max_iter if cfg.max_iter is not None else 30
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if not 0 <= args.triplet_tol < np.inf:
+        raise ValueError(f"--triplet-tol must be finite and >= 0, got {args.triplet_tol}")
     _, _, problem, noisy = _instance(cfg)
     state = wgkb_run(problem.a, problem.weight, noisy.b, steps)
     if state.k == 0:

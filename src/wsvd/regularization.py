@@ -8,7 +8,9 @@ and 'maxiter' simply the last computed iterate.
 
 Since every rule selects from the same recursion, spr_solve keeps the one
 recursion it last ran and continues it when it is called again on the same
-A, M and b (see spr_solve).
+A, M and b (see spr_solve).  An earlier selected iterate is recovered by
+replaying the solver's own update (wlsqr_iterate), so spr_solve returns,
+bit for bit, the iterate whose relative error its record reports.
 """
 
 import threading
@@ -94,6 +96,11 @@ class RunRecord:
         return np.arange(1, len(self.residual_norms) + 1)
 
 
+def _lead(ok):
+    """Length of the leading run of true entries of the boolean array ok."""
+    return ok.size if ok.all() else int(np.argmin(ok))
+
+
 def stop_dp(residual_norms, tau, noise_norm):
     """Discrepancy index on a residual history.
 
@@ -113,8 +120,7 @@ def stop_dp(residual_norms, tau, noise_norm):
     seq = np.asarray(residual_norms, dtype=float)
     if seq.size == 0:
         raise ValueError("empty residual history")
-    finite = np.isfinite(seq)
-    lead = seq.size if finite.all() else int(np.argmin(finite))
+    lead = _lead(np.isfinite(seq))
     if lead and seq[0] <= thr:
         return 1, True
     hits = np.flatnonzero(seq[1:lead] <= thr)
@@ -137,8 +143,7 @@ def lcurve_points(residual_norms, solution_m_norms):
     mn = np.asarray(solution_m_norms, dtype=float)
     if res.shape != mn.shape:
         raise ValueError("residual and solution norm histories differ in length")
-    ok = np.isfinite(res) & np.isfinite(mn) & (res > 0) & (mn > 0)
-    lead = ok.size if ok.all() else int(np.argmin(ok))
+    lead = _lead(np.isfinite(res) & np.isfinite(mn) & (res > 0) & (mn > 0))
     pts = np.column_stack([np.log(res[:lead]), np.log(mn[:lead])])
     keep = [0] if lead else []
     for i in range(1, pts.shape[0]):
@@ -197,11 +202,17 @@ def stop_lcurve(residual_norms, solution_m_norms):
 
 
 def stop_oracle(rel_errors):
-    """Index of smallest relative error; ties resolve to the smaller index."""
+    """Index of smallest relative error; ties resolve to the smaller index.
+
+    Only the leading run of finite entries is scanned, as in stop_dp and
+    lcurve_points: nothing after a NaN or inf is trusted.  An empty history,
+    or one whose first entry is not finite, raises ValueError.
+    """
     errs = np.asarray(rel_errors, dtype=float)
-    if errs.size == 0:
-        raise ValueError("empty error history")
-    return int(np.argmin(errs)) + 1
+    lead = _lead(np.isfinite(errs))
+    if lead == 0:
+        raise ValueError("empty error history or a non-finite first error")
+    return int(np.argmin(errs[:lead])) + 1
 
 
 def select(rule, record):
@@ -329,8 +340,10 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     nonzero norm, else ValueError.  The dp rule stops the iteration eagerly
     at the first crossing; the other rules run to max_iter, and select picks
     the index from the history.  A selected earlier iterate is recovered
-    from B_k by wlsqr_iterate, so no iterate is stored and the solver runs
-    once.  The recursion always reorthogonalizes fully (see wgkb_step).
+    by wlsqr_iterate, which replays the solver's update over the stored
+    columns, so no iterate is stored, the solver runs once, and x is the
+    iterate whose rel_errors entry the record reports, bit for bit.  The
+    recursion always reorthogonalizes fully (see wgkb_step).
 
     The rules all select from the same recursion, so the last one run is
     kept and continued when a call repeats A, M, b and max_iter.  A cheap

@@ -14,6 +14,9 @@ rule max(m, n) eps theta_1, and takes the residual norm from the projected
 system.  The iterate is then the minimum-M-norm least-squares solution of
 the Krylov wsvd route, min_m_norm_ls(wsvd(a, weight, start=b), b).
 
+One update (_advance) moves the iterate; wlsqr_iterate replays it over the
+stored columns to recover an earlier x_k with the solver's own bits.
+
 The solver can also continue a recursion that an earlier run of the same a,
 weight and b left behind (wlsqr_run's private _bidiag, which only spr_solve
 passes, with a recursion it never hands out).  Its steps first replay the
@@ -82,49 +85,50 @@ def wlsqr_init(a, weight, b, max_steps=None):
     immediately done, with alpha_1 = 0.0, and x = 0 is the solution.
     """
     a = np.asarray(a, dtype=float)
-    return _start(a, wgkb_init(a, weight, b, max_steps=max_steps))
+    return _start(a.shape[1], wgkb_init(a, weight, b, max_steps=max_steps))
 
 
-def _start(a, bid):
-    """The solver state x_0 = 0 of wlsqr_init on the recursion bid, which
-    may already hold later steps."""
+def _start(n, bid):
+    """The solver state x_0 = 0 in R^n of wlsqr_init on the recursion bid,
+    which may already hold later steps."""
     w = None if bid.termination_step == 0 else bid.Q[:, 0].copy()
-    return WlsqrState(x=np.zeros(a.shape[1]), w=w, rhobar=bid.alphas[0], bidiag=bid)
+    return WlsqrState(x=np.zeros(n), w=w, rhobar=bid.alphas[0], bidiag=bid)
 
 
-def _rotate(rhobar, phibar, beta, alpha):
-    """The Givens rotation that eliminates beta below rhobar in the projected
-    bidiagonal system; returns (rho, theta_next, phi, rhobar_next, phibar_next)."""
-    rho = float(np.hypot(rhobar, beta))
-    c = rhobar / rho
-    s = beta / rho
-    return rho, s * alpha, c * phibar, -c * alpha, s * phibar
+def _advance(state):
+    """Move state from x_k to x_{k+1} and append phibar_{k+2}: by the Givens
+    rotation that eliminates beta_{k+2} below rhobar, reading q_{k+2} from a
+    recursion that must hold it, or at the terminating step by the truncated
+    SVD of B_k (see _terminal_solution).  The solver's only iterate update.
+    """
+    bid = state.bidiag
+    i = state.k + 1
+    if bid.termination_step == i:
+        state.x, phibar = _terminal_solution(bid)
+        state.w = None
+    else:
+        beta, alpha = bid.betas[i], bid.alphas[i]
+        rho = float(np.hypot(state.rhobar, beta))
+        c, s = state.rhobar / rho, beta / rho
+        state.x = state.x + (c * state.phibar / rho) * state.w
+        state.w = bid.Q[:, i] - (s * alpha / rho) * state.w
+        state.rhobar, phibar = -c * alpha, s * state.phibar
+    state.residual_norms.append(phibar)
 
 
 def wlsqr_step(state, a, weight):
     """One step: advance the bidiagonalization, rotate, update the iterate.
 
     Returns the same state object.  The bidiagonalization is stepped only
-    when it holds no column for step k + 1 yet (a continued recursion may).
-    A terminating bidiagonalization step takes x_k and its residual norm
-    from the truncated SVD of B_k instead (see _terminal_solution), after
-    which the state is done.
+    when it holds no column for step k + 1 yet (a continued recursion may);
+    _advance then updates the iterate, and its M-norm is appended.  After a
+    terminating bidiagonalization step the state is done.
     """
     if state.done:
         raise RuntimeError("solver already finished")
-    bid = state.bidiag
-    i = state.k + 1
-    if bid.k < i:
-        wgkb_step(bid, a, weight)
-    if bid.termination_step == i:
-        state.x, phibar = _terminal_solution(bid)
-        state.w = None
-    else:
-        rho, theta_next, phi, state.rhobar, phibar = _rotate(
-            state.rhobar, state.phibar, bid.betas[i], bid.alphas[i])
-        state.x = state.x + (phi / rho) * state.w
-        state.w = bid.Q[:, i] - (theta_next / rho) * state.w
-    state.residual_norms.append(phibar)
+    if state.bidiag.k <= state.k:
+        wgkb_step(state.bidiag, a, weight)
+    _advance(state)
     state.solution_m_norms.append(weight.norm(state.x))
     return state
 
@@ -153,7 +157,7 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     if _bidiag is None:
         state = wlsqr_init(a, weight, b, max_steps=max_iter)
     else:
-        state = _start(a, _bidiag)
+        state = _start(n, _bidiag)
     while not state.done and state.k < max_iter:
         wlsqr_step(state, a, weight)
         if callback is not None and callback(
@@ -182,23 +186,13 @@ def wlsqr_iterate(bidiag, k):
     """The k-th iterate x_k = Q_k y_k, y_k = argmin ||B_k y - beta_1 e_1||_2,
     recovered from a recursion that has run at least k steps.
 
-    The solver's own rotations reduce B_k to upper bidiagonal R_k, and back
-    substitution solves R_k y_k = (phi_1, ..., phi_k) (Paige and Saunders,
-    LSQR, 1982), so no earlier iterate needs to be stored or recomputed.  At
-    the terminating step the iterate is the solver's own truncated one (see
-    _terminal_solution).
+    A fresh solver state replays _advance over the k stored columns, so the
+    result has the bits of the solver's x_k, for k pairs of length-n vector
+    updates and no product with A.  The recursion is never stepped.
     """
     if not 1 <= k <= bidiag.k:
         raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
-    if k == bidiag.termination_step:
-        return _terminal_solution(bidiag)[0]
-    rhobar, phibar = bidiag.alphas[0], bidiag.betas[0]
-    rho, theta, phi = np.empty(k), np.empty(k), np.empty(k)
-    for i in range(k):
-        rho[i], theta[i], phi[i], rhobar, phibar = _rotate(
-            rhobar, phibar, bidiag.betas[i + 1], bidiag.alphas[i + 1])
-    y = np.empty(k)
-    y[-1] = phi[-1] / rho[-1]
-    for i in range(k - 2, -1, -1):
-        y[i] = (phi[i] - theta[i] * y[i + 1]) / rho[i]
-    return bidiag.Q[:, :k] @ y
+    state = _start(bidiag.q_buf.shape[0], bidiag)
+    for _ in range(k):
+        _advance(state)
+    return state.x

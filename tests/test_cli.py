@@ -519,6 +519,27 @@ def test_triplets_rejects_an_empty_request_before_any_work(tmp_path, capsys, mon
     assert f"{option} must be >= 1" in err and "terminated" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_triplets_rejects_a_triplet_tol_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, monkeypatch, tol):
+    # nan marked every triplet false, -1 too, and inf every one true
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    out = tmp_path / "out"
+    rc = main(["triplets", "--problem", "shaw", "--m", "60", "--n", "41",
+               "--epsilon", "0", f"--triplet-tol={tol}", "--out", str(out)])
+    assert rc == 1
+    assert "--triplet-tol must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_triplets_accepts_a_zero_triplet_tol(tmp_path, capsys):
+    assert main(["triplets", "--problem", "shaw", "--m", "60", "--n", "41",
+                 "--epsilon", "0", "--count", "3", "--triplet-tol", "0",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(read_csv(tmp_path / "triplets_shaw.csv")) == 3
+
+
 @pytest.mark.parametrize("command", ["gen", "sweep"])
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
 def test_a_non_finite_epsilon_exits_1_and_writes_nothing(tmp_path, capsys, command,

@@ -60,6 +60,19 @@ def test_stop_oracle_argmin_first():
     assert stop_oracle(np.array([0.5, 0.4, 0.3])) == 3  # monotone: last index
 
 
+def test_stop_oracle_scans_only_the_leading_finite_run():
+    # nothing after a NaN or inf is trusted, as in stop_dp and lcurve_points
+    assert stop_oracle([0.3, np.nan, 0.1]) == 1
+    assert stop_oracle([0.3, 0.2, np.inf, 0.1]) == 2
+    assert stop_oracle([0.3, 0.2, -np.inf, 0.1]) == 2
+
+
+@pytest.mark.parametrize("errs", [[], [np.nan, 0.1], [np.inf], [-np.inf, 0.2]])
+def test_stop_oracle_rejects_a_history_without_a_finite_first_error(errs):
+    with pytest.raises(ValueError):
+        stop_oracle(errs)
+
+
 def test_stop_lcurve_synthetic_corner():
     res, mn = corner_polyline()
     got = stop_lcurve(res, mn)
@@ -228,21 +241,43 @@ def test_spr_maxiter(shaw_small):
 
 
 def test_recovered_iterate_matches_callback(shaw_small):
-    # x_k = Q_k y_k from B_k agrees with the iterate the recurrence produced
+    # x_k = Q_k y_k from B_k is the iterate the recurrence produced
     problem, noisy = shaw_small
     xs = []
     state = wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=30,
                       callback=lambda k, x, res, mnorm: xs.append(x))
     assert state.k == len(xs) >= 15
     for k, x in enumerate(xs, start=1):
-        got = wlsqr_iterate(state.bidiag, k)
-        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x), k
+        assert np.array_equal(wlsqr_iterate(state.bidiag, k), x), k
     # and spr_solve returns it for an earlier selected index
     x_sel, rec = spr_solve(problem.a, problem.weight, noisy.b,
                            StoppingRule("oracle", x_true=problem.x_true), max_iter=30)
     assert rec.stop_index < state.k
-    ref = xs[rec.stop_index - 1]
-    assert np.linalg.norm(x_sel - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(x_sel, xs[rec.stop_index - 1])
+
+
+@pytest.mark.parametrize("name, terminated_at", [("shaw", 20), ("phillips", None)])
+def test_every_recovered_iterate_is_the_solvers_own(name, terminated_at):
+    # live steps and iterate recovery share one update, so wlsqr_iterate
+    # gives the callback's x_k bit for bit at every k, the terminating one
+    # included, and spr_solve returns the iterate whose error it reports
+    problem = build_problem(name, 120, 101)
+    noisy = add_noise(problem, 1e-3, 0)
+    xs = []
+    state = wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=30,
+                      callback=lambda k, x, res, mnorm: xs.append(x))
+    assert state.bidiag.termination_step == terminated_at
+    assert state.k == len(xs) == (terminated_at or 30)
+    for k, x in enumerate(xs, start=1):
+        assert np.array_equal(wlsqr_iterate(state.bidiag, k), x), k
+    nx = np.linalg.norm(problem.x_true)
+    for kind in ("lc", "oracle"):
+        x, rec = spr_solve(problem.a, problem.weight, noisy.b,
+                           StoppingRule(kind, x_true=problem.x_true), max_iter=30)
+        k = rec.stop_index
+        assert k < state.k, kind
+        assert np.array_equal(x, xs[k - 1]), kind
+        assert np.linalg.norm(x - problem.x_true) / nx == rec.rel_errors[k - 1], kind
 
 
 def _orthogonal_case():

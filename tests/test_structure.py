@@ -86,6 +86,28 @@ def _names(node):
     return {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
 
 
+def _solver_functions():
+    tree = ast.parse((SRC / "solver.py").read_text())
+    return {func.name: func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+
+
+def test_only_advance_updates_the_iterate():
+    # live steps, continued runs and iterate recovery share one update
+    owners = {(name, target.attr)
+              for name, func in _solver_functions().items()
+              for node in ast.walk(func) if isinstance(node, (ast.Assign, ast.AugAssign))
+              for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for target in ast.walk(top)
+              if isinstance(target, ast.Attribute) and target.attr in ("x", "w")}
+    assert owners == {("_advance", "x"), ("_advance", "w")}
+
+
+def test_iterate_recovery_never_steps():
+    # wlsqr_iterate replays stored columns only, so traced step counts
+    # do not see it
+    assert not _names(_solver_functions()["wlsqr_iterate"]) & {"wlsqr_step", "wgkb_step"}
+
+
 def test_only_spr_solve_continues_a_kept_recursion():
     # continuing a recursion is safe only because the kept one never reaches
     # a caller: spr_solve alone hands one to wlsqr_run (keyword-only
