@@ -201,6 +201,38 @@ def _reorth(v, basis, weight=None):
     return v, norm
 
 
+def _checked_matrix(a, weight, scan=True):
+    """a as a float array with at least one row and as many columns as
+    weight has, else ValueError; the one matrix check of the package.
+    scan=False skips the finiteness scan, two reads of A, for a caller that
+    runs the recursion on A first: wgkb_init rejects NaN and inf through
+    A^T p_1."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError("A must be two-dimensional with at least one row and one "
+                         f"column, got shape {a.shape}")
+    # NaN propagates through min and max and an infinity is one of them, so
+    # this needs no bool array of A's size
+    if scan and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError("matrix has non-finite entries")
+    if a.shape[1] != weight.n:
+        raise ValueError(
+            f"matrix has {a.shape[1]} columns, weight matrix is {weight.n}x{weight.n}"
+        )
+    return a
+
+
+def _checked_vector(v, m, what):
+    """v as a float vector of shape (m,) with finite entries, else
+    ValueError naming what; the one vector check of the package."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (m,):
+        raise ValueError(f"{what} has shape {v.shape}, expected ({m},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return v
+
+
 def wgkb_init(a, weight, b, max_steps=None):
     """First vectors of the recursion.
 
@@ -208,25 +240,18 @@ def wgkb_init(a, weight, b, max_steps=None):
     means min(m, n), within which the recursion terminates in exact
     arithmetic.  Each basis buffer is allocated once with min(max_steps, m,
     n) + 1 columns; a step past that budget raises RuntimeError.  Raises
-    ValueError for a negative max_steps, for b = 0 and for non-finite
-    entries in b or A.  A is scanned once for its envelope, which never
-    skips a NaN or inf, so each one reaches A^T p_1 (NaN * 0 and inf * 0
-    are NaN), which is checked.  If b is orthogonal to the range of A the
-    returned state is already terminated with termination_step 0 and
-    alphas == [0.0].
+    ValueError for a negative max_steps, for an A that _checked_matrix or
+    a b that _checked_vector rejects (either names the shape), for b = 0
+    and for non-finite entries in A.  A is scanned once for its envelope,
+    which never skips a NaN or inf, so each one reaches A^T p_1 (NaN * 0
+    and inf * 0 are NaN), which is checked.  If b is orthogonal to the
+    range of A the returned state is already terminated with
+    termination_step 0 and alphas == [0.0].
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"b has shape {b.shape}, expected ({a.shape[0]},)")
-    if a.shape[1] != weight.n:
-        raise ValueError(
-            f"matrix has {a.shape[1]} columns, weight matrix is {weight.n}x{weight.n}"
-        )
-    if not np.isfinite(b).all():
-        raise ValueError("starting vector b has non-finite entries")
+    a = _checked_matrix(a, weight, scan=False)
+    b = _checked_vector(b, a.shape[0], "starting vector b")
     beta1 = _sqrt_dot(b)
     if beta1 == 0.0:
         raise ValueError("starting vector b must be nonzero")
@@ -292,6 +317,7 @@ def wgkb_run(a, weight, b, steps):
     """The recursion from b, stepped until it terminates or has taken
     `steps` steps; the bases are sized once for that budget (see
     wgkb_init).  steps = 0 returns the state of wgkb_init."""
+    a = _checked_matrix(a, weight, scan=False)  # the steps read a as an array
     state = wgkb_init(a, weight, b, max_steps=steps)
     while not state.terminated and state.k < steps:
         wgkb_step(state, a, weight)

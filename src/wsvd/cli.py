@@ -119,7 +119,9 @@ def _build_parser():
         cmds[name] = sub.add_parser(name, parents=[common], help=text)
         cmds[name].set_defaults(run=run)
     cmds["solve"].add_argument("--in", dest="indir",
-                               help="load a generated problem directory instead of building")
+                               help="load a generated problem directory instead of "
+                                    "building; --problem, --m, --n, --epsilon and --seed "
+                                    "are then not read")
     cmds["lcurve"].add_argument("--points",
                                 help="CSV of k,res_norm,sol_mnorm to analyze instead of running")
     cmds["triplets"].add_argument("--count", type=int, default=6)
@@ -195,31 +197,30 @@ def _stop_error(record):
 # -- subcommands --------------------------------------------------------------
 
 def _instance(cfg, indir=None):
-    """(epsilon, seed, problem, noisy) for the one epsilon and seed of cfg;
-    the problem and its noisy data are loaded from indir when it is given."""
-    epsilon = _single(cfg.epsilons, "--epsilon")
-    seed = _single(cfg.seeds, "--seed")
+    """(problem, noisy) loaded from indir when it is given, else built for
+    cfg's problem and sizes with its one epsilon and seed; noisy carries
+    the epsilon and seed either way."""
     if indir is not None:
-        return epsilon, seed, *load_problem(indir)
+        return load_problem(indir)
     problem = build_problem(cfg.problem, cfg.m, cfg.n)
-    return epsilon, seed, problem, add_noise(problem, epsilon, seed)
+    return problem, add_noise(problem, _single(cfg.epsilons, "--epsilon"),
+                              _single(cfg.seeds, "--seed"))
 
 
-def cmd_gen(args):
-    cfg = _config_from_args(args)
-    epsilon, seed, problem, noisy = _instance(cfg)
-    tag = f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}_eps{epsilon:g}_seed{seed}"
+def cmd_gen(cfg, args):
+    problem, noisy = _instance(cfg)
+    tag = (f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}"
+           f"_eps{noisy.epsilon:g}_seed{noisy.seed}")
     path = os.path.join(cfg.out, tag)
     save_problem(path, problem, noisy)
     print(path)
     return 0
 
 
-def cmd_solve(args):
-    cfg = _config_from_args(args)
+def cmd_solve(cfg, args):
     method = _single(cfg.methods, "--method")
     rule_kind = _single(cfg.rules, "--rule")
-    epsilon, seed, problem, noisy = _instance(cfg, args.indir)
+    problem, noisy = _instance(cfg, args.indir)
     rules = _rules(cfg, problem, noisy)
 
     t0 = time.perf_counter()
@@ -241,7 +242,7 @@ def cmd_solve(args):
         stop_k, rel_err = record.stop_index, _stop_error(record)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
-    tag = f"{problem.name}_{method}_{rule_kind}_eps{epsilon:g}_seed{seed}"
+    tag = f"{problem.name}_{method}_{rule_kind}_eps{noisy.epsilon:g}_seed{noisy.seed}"
     _write_csv(os.path.join(cfg.out, f"run_{tag}.csv"),
                "k,res_norm,sol_mnorm,rel_err", rows)
     summary = f"{problem.name},{rule_kind},{method},{stop_k},{_fmt(rel_err)},{wall_ms:.1f}"
@@ -259,8 +260,7 @@ def _error_status(exc):
     return f"error: {type(exc).__name__}: {msg}" if msg else f"error: {type(exc).__name__}"
 
 
-def cmd_sweep(args):
-    cfg = _config_from_args(args)
+def cmd_sweep(cfg, args):
     if args.epsilons is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n)
@@ -329,13 +329,12 @@ def _points_record(path):
                      stop_index=len(rows), rule="maxiter")
 
 
-def cmd_lcurve(args):
-    cfg = _config_from_args(args)
+def cmd_lcurve(cfg, args):
     lc = StoppingRule("lc")
     if args.points is not None:
         record = select(lc, _points_record(args.points))
     else:
-        _, _, problem, noisy = _instance(cfg)
+        problem, noisy = _instance(cfg)
         _, record = spr_solve(problem.a, problem.weight, noisy.b, lc,
                               max_iter=cfg.max_iter)
     # select gives index 0 on an empty history and raises on 1 to 4 points
@@ -356,8 +355,7 @@ def cmd_lcurve(args):
     return 0
 
 
-def cmd_wsvd(args):
-    cfg = _config_from_args(args)
+def cmd_wsvd(cfg, args):
     # factorization dumps default to a small instance
     m = cfg.m if cfg.m is not None else 120
     n = cfg.n if cfg.n is not None else 101
@@ -376,14 +374,13 @@ def cmd_wsvd(args):
     return 0
 
 
-def cmd_triplets(args):
-    cfg = _config_from_args(args)
+def cmd_triplets(cfg, args):
     steps = cfg.max_iter if cfg.max_iter is not None else 30
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if not 0 <= args.triplet_tol < np.inf:
         raise ValueError(f"--triplet-tol must be finite and >= 0, got {args.triplet_tol}")
-    _, _, problem, noisy = _instance(cfg)
+    problem, noisy = _instance(cfg)
     state = wgkb_run(problem.a, problem.weight, noisy.b, steps)
     if state.k == 0:
         raise ValueError("recursion terminated before producing any triplets")
@@ -404,8 +401,8 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        return args.run(args)
-    except ValueError as exc:  # StoppingRule, build_problem and the checks here
+        return args.run(_config_from_args(args), args)
+    except ValueError as exc:  # the config, StoppingRule, build_problem and the checks here
         print(f"wsvd: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  runtime failure -> exit 2

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import BREAK_TOL, _lifted_svd, _reorth, wgkb_run
+from .bidiag import (BREAK_TOL, _checked_matrix, _checked_vector, _lifted_svd,
+                     _reorth, wgkb_run)
 from .weights import WeightMatrix
 
 # Steps the Krylov route takes before it gives up and runs the dense route.
@@ -74,26 +75,6 @@ class WsvdFactorization:
         """Columns of v beyond the rank; an M-orthonormal null-space basis
         of A when the factorization was computed with full_matrices."""
         return self.v[:, self.rank:]
-
-
-def _checked_matrix(a, weight, scan=True):
-    """a as a float array, checked against weight; scan=False skips the
-    finiteness scan, two reads of A, for a caller that runs the recursion
-    on A first: wgkb_init rejects NaN and inf through A^T p_1."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError("matrix must have at least one row and one column")
-    # NaN propagates through min and max and an infinity is one of them, so
-    # this needs no bool array of A's size
-    if scan and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError("matrix entries must be finite")
-    if a.shape[1] != weight.n:
-        raise ValueError(
-            f"matrix has {a.shape[1]} columns, weight matrix is {weight.n}x{weight.n}"
-        )
-    return a
 
 
 def _transform(a, weight):
@@ -174,18 +155,14 @@ def covers(fact, a, b):
     A dense factorization covers every b.  A Krylov one covers b when b's
     remainder outside the span of u passes the recursion's breakdown test
     (see the module docstring); the check costs one A^T product and
-    O((m + n) k).  Raises ValueError when a or b does not fit fact or b has
-    non-finite entries.
+    O((m + n) k).  Raises ValueError when a does not have fact's shape and
+    for a b that _checked_vector rejects.
     """
     a = np.asarray(a)
-    b = np.asarray(b, dtype=float)
     m, n = fact.u.shape[0], fact.v.shape[0]
     if a.shape != (m, n):
         raise ValueError(f"matrix has shape {a.shape}, factorization is of {m}x{n}")
-    if b.shape != (m,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side has non-finite entries")
+    b = _checked_vector(b, m, "right-hand side")
     if fact.krylov_steps is None:
         return True
     r, r_norm = _reorth(b, fact.u)  # r = 0 gives s = 0 and passes
@@ -204,8 +181,13 @@ def weighted_operator_norm(a, weight):
 def low_rank_approx(fact, k):
     """Best rank-k approximation A_k = sum_{i<=k} sigma_i u_i v_i^T M.
 
-    Requires 1 <= k < rank.
+    Requires a dense-route factorization and 1 <= k < rank, else
+    ValueError.  A Krylov-route one is partial: it holds only the triplets
+    its start excites, so its leading k need not be A's.
     """
+    if fact.krylov_steps is not None:
+        raise ValueError("a Krylov-route factorization is partial; the best rank-k "
+                         "approximation needs the dense route, wsvd(a, weight)")
     if not 1 <= k < fact.rank:
         raise ValueError(f"k must satisfy 1 <= k < rank ({fact.rank}), got {k}")
     mv = fact.weight.matvec(fact.v[:, :k])
@@ -214,24 +196,28 @@ def low_rank_approx(fact, k):
 
 def _coefficients(fact, b, k=None):
     """u_i^T b for the first k columns (k defaults to the rank), after
-    checking that b is a vector of length m."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != fact.u.shape[0]:
-        raise ValueError(
-            f"right-hand side has shape {b.shape}, expected ({fact.u.shape[0]},)"
-        )
+    checking b with _checked_vector."""
+    b = _checked_vector(b, fact.u.shape[0], "right-hand side")
     return fact.u[:, :fact.rank if k is None else k].T @ b
 
 
 def min_m_norm_ls(fact, b):
-    """Minimum-M-norm least squares solution sum_i (u_i^T b / sigma_i) v_i."""
+    """Minimum-M-norm least squares solution sum_i (u_i^T b / sigma_i) v_i.
+
+    Raises ValueError for a b that _checked_vector rejects: a shape other
+    than (m,), or non-finite entries.
+    """
     r = fact.rank
     coef = _coefficients(fact, b) / fact.sigma
     return fact.v[:, :r] @ coef
 
 
 def twsvd_solution(fact, b, k):
-    """Truncated solution keeping the first k spectral terms; 1 <= k <= rank."""
+    """Truncated solution keeping the first k spectral terms; 1 <= k <= rank.
+
+    Raises ValueError for a k outside that range and for a b that
+    _checked_vector rejects, as min_m_norm_ls does.
+    """
     if not 1 <= k <= fact.rank:
         raise ValueError(f"k must satisfy 1 <= k <= rank ({fact.rank}), got {k}")
     coef = _coefficients(fact, b, k) / fact.sigma[:k]
@@ -242,7 +228,9 @@ def tikhonov_wsvd(fact, b, lam):
     """Tikhonov-regularized solution with filter factors sigma^2/(sigma^2+lam).
 
     Solves (A^T A + lam M) x = A^T b through the factorization; lam = 0
-    reduces to the minimum-M-norm least squares solution.
+    reduces to the minimum-M-norm least squares solution.  Raises
+    ValueError for a lam that is not finite and >= 0 and for a b that
+    _checked_vector rejects, as min_m_norm_ls does.
     """
     if not 0 <= lam < np.inf:
         raise ValueError(f"regularization parameter must be finite and >= 0, got {lam}")

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bidiag import _checked_matrix, _checked_vector
 from .decomposition import _coefficients, tikhonov_wsvd
 from .solver import wlsqr_iterate, wlsqr_run
 from .weights import WeightMatrix
@@ -255,17 +256,17 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
     together with the tail sum of (u_i^T b)^2 over k < i <= rank, so no
     difference of nearly equal squares is taken.  M-norms come from the
     coefficients, and rel_errors (when x_true is given) from the iterates
-    themselves.  Raises ValueError for a max_iter below 1 and for an x_true
-    that _checked_x_true rejects.
+    themselves.  Raises ValueError for a max_iter below 1, for an x_true
+    that _checked_x_true rejects and for a b that _coefficients rejects (a
+    shape other than (m,), or non-finite entries).
     """
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if x_true is not None:
         x_true, nx = _checked_x_true(x_true, fact.v.shape[0])
     t0 = time.perf_counter()
-    b = np.asarray(b, dtype=float)
     kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
-    ub = _coefficients(fact, b)
+    ub = _coefficients(fact, b)  # checks b before any use
     outside = b - fact.u[:, :fact.rank] @ ub
     tail = np.cumsum((ub**2)[::-1])[::-1]  # tail[j] = sum of ub[i]**2 over i >= j
     res = np.sqrt(outside @ outside + np.append(tail[1:], 0.0)[:kmax])
@@ -286,13 +287,9 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
 
 def _checked_x_true(x_true, n):
     """(x_true as a float array, its 2-norm).  Raises ValueError naming
-    x_true unless it has shape (n,), finite entries and a norm that is
-    positive and finite, so that every relative error is defined."""
-    x_true = np.asarray(x_true, dtype=float)
-    if x_true.shape != (n,):
-        raise ValueError(f"x_true has shape {x_true.shape}, expected ({n},)")
-    if not np.isfinite(x_true).all():
-        raise ValueError("x_true has non-finite entries")
+    x_true unless _checked_vector accepts it and its norm is positive and
+    finite, so that every relative error is defined."""
+    x_true = _checked_vector(x_true, n, "x_true")
     norm = np.linalg.norm(x_true)
     if not 0 < norm < np.inf:
         raise ValueError(f"x_true must be nonzero with a finite 2-norm, got {norm}")
@@ -371,10 +368,9 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     before allocating its own.
     """
     global _kept
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"A must be two-dimensional, got shape {a.shape}")
+    a = _checked_matrix(a, weight, scan=False)
+    # checked before the kept run is taken out, so a rejected b leaves it
+    b = _checked_vector(b, a.shape[0], "starting vector b")
     if x_true is None:
         x_true = rule.x_true
     if x_true is not None:
@@ -425,12 +421,13 @@ def tikhonov_opt(fact, b, x_true):
 
     Minimizes ||x_lam - x_true||_2 / ||x_true||_2 over log lam in
     [log(1e-16 sigma_1^2), log(sigma_1^2)], refined to 1e-3 relative in lam.
-    Returns (lam, x_lam).  Raises ValueError for a rank-0 factorization and
-    for an x_true that _checked_x_true rejects.
+    Returns (lam, x_lam).  Raises ValueError for a rank-0 factorization,
+    for an x_true that _checked_x_true rejects and, at the first solution,
+    for a b that tikhonov_wsvd rejects (a shape other than (m,), or
+    non-finite entries).
     """
     if fact.rank == 0:
         raise ValueError("factorization has rank 0")
-    b = np.asarray(b, dtype=float)
     x_true, nx = _checked_x_true(x_true, fact.v.shape[0])
     s1sq = fact.sigma[0] ** 2
 

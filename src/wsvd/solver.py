@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidiag import BidiagState, project_bidiagonal, wgkb_init, wgkb_step
+from .bidiag import (BidiagState, _checked_matrix, project_bidiagonal, wgkb_init,
+                     wgkb_step)
 from .decomposition import _rank
 from .weights import WeightMatrix
 
@@ -83,16 +84,17 @@ def wlsqr_init(a, weight, b, max_steps=None):
     max_steps is the step budget that sizes the bases, min(m, n) when None
     (see wgkb_init).  If b is orthogonal to the range of A the state is
     immediately done, with alpha_1 = 0.0, and x = 0 is the solution.
+    wgkb_init checks a and b.
     """
-    a = np.asarray(a, dtype=float)
-    return _start(a.shape[1], wgkb_init(a, weight, b, max_steps=max_steps))
+    return _start(wgkb_init(a, weight, b, max_steps=max_steps))
 
 
-def _start(n, bid):
-    """The solver state x_0 = 0 in R^n of wlsqr_init on the recursion bid,
-    which may already hold later steps."""
+def _start(bid):
+    """The solver state x_0 = 0 of wlsqr_init on the recursion bid, which
+    may already hold later steps."""
     w = None if bid.termination_step == 0 else bid.Q[:, 0].copy()
-    return WlsqrState(x=np.zeros(n), w=w, rhobar=bid.alphas[0], bidiag=bid)
+    return WlsqrState(x=np.zeros(bid.q_buf.shape[0]), w=w, rhobar=bid.alphas[0],
+                      bidiag=bid)
 
 
 def _advance(state):
@@ -148,16 +150,15 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     step; a truthy return stops the run.  The x passed to the callback is
     never mutated by later steps.
     """
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
+    a = _checked_matrix(a, weight, scan=False)
     if max_iter is None:
-        max_iter = min(m, n, DEFAULT_MAX_ITER)
+        max_iter = min(*a.shape, DEFAULT_MAX_ITER)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if _bidiag is None:
         state = wlsqr_init(a, weight, b, max_steps=max_iter)
     else:
-        state = _start(n, _bidiag)
+        state = _start(_bidiag)
     while not state.done and state.k < max_iter:
         wlsqr_step(state, a, weight)
         if callback is not None and callback(
@@ -192,7 +193,7 @@ def wlsqr_iterate(bidiag, k):
     """
     if not 1 <= k <= bidiag.k:
         raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
-    state = _start(bidiag.q_buf.shape[0], bidiag)
+    state = _start(bidiag)
     for _ in range(k):
         _advance(state)
     return state.x

@@ -479,6 +479,14 @@ def test_run_of_zero_steps_is_the_init_state():
     assert np.array_equal(state.P, init.P) and np.array_equal(state.Q, init.Q)
 
 
+def test_run_accepts_a_matrix_given_as_nested_lists():
+    # the steps read the array that the entry check made, not the lists
+    a, weight, b = setup_random(52)
+    state = wgkb_run(a.tolist(), weight, b.tolist(), 5)
+    ref = wgkb_run(a, weight, b, 5)
+    assert state.alphas == ref.alphas and state.betas == ref.betas
+
+
 def test_run_is_bit_identical_to_the_hand_loop():
     a, weight, b = setup_random(51, dense_weight=False)
     hand = wgkb_init(a, weight, b, max_steps=12)

@@ -102,6 +102,21 @@ def test_solve_from_generated_dir_matches_inline(tmp_path, capsys):
     assert direct.rsplit(",", 1)[0] == loaded.rsplit(",", 1)[0]
 
 
+def test_solve_names_its_files_after_the_loaded_epsilon_and_seed(tmp_path, capsys):
+    dirs = []
+    for epsilon, seed in (("1e-2", "7"), ("2e-2", "3")):
+        main(["gen", "--problem", "shaw", *SMALL, "--epsilon", epsilon, "--seed", seed,
+              "--out", str(tmp_path)])
+        dirs.append(capsys.readouterr().out.strip())
+    for gen_dir in dirs:
+        assert main(["solve", "--in", gen_dir, "--rule", "dp", "--method", "wlsqr",
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{kind}_shaw_wlsqr_dp_eps{eps}_seed{seed}.csv"
+        for kind in ("run", "summary") for eps, seed in (("0.01", 7), ("0.02", 3))]
+
+
 def test_solve_lsqr_baseline_error_large(tmp_path, capsys):
     main(["solve", "--problem", "shaw", *SMALL, "--epsilon", "1e-3",
           "--seed", "0", "--rule", "oracle", "--method", "lsqr",

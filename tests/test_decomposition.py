@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wsvd import (WeightMatrix, add_noise, build_problem, covers, low_rank_approx,
-                  min_m_norm_ls, tikhonov_wsvd, twsvd_record, twsvd_solution,
+                  min_m_norm_ls, tikhonov_opt, tikhonov_wsvd, twsvd_record, twsvd_solution,
                   weighted_operator_norm, wsvd)
 
 from test_weights import random_spd
@@ -144,6 +144,18 @@ def test_low_rank_validates_k():
         low_rank_approx(f, f.rank)
 
 
+def test_low_rank_rejects_a_partial_factorization():
+    # the start excites sigma = 5, 3, 1 only, so the leading two triplets
+    # of the Krylov factorization are not A's: their A_2 misses sigma = 4
+    a = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
+    f = wsvd(a, WeightMatrix.identity(5), start=[1.0, 0.0, 1.0, 0.0, 1.0])
+    assert f.krylov_steps == 3 and np.allclose(f.sigma, [5.0, 3.0, 1.0])
+    with pytest.raises(ValueError, match="dense route"):
+        low_rank_approx(f, 2)
+    fd = wsvd(a, WeightMatrix.identity(5))
+    assert np.linalg.norm(a - low_rank_approx(fd, 2), 2) == pytest.approx(3.0)
+
+
 def test_min_m_norm_ls_normal_equations():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 8))
@@ -276,6 +288,23 @@ def test_solution_b_shape_validation():
             with pytest.raises(ValueError,
                                match=re.escape(f"has shape {shape}, expected (3,)")):
                 solve(f, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route", ["dense", "krylov"])
+def test_every_spectral_solution_rejects_a_non_finite_b(route, bad):
+    problem = build_problem("shaw", 60, 51)
+    b = add_noise(problem, 1e-3, 0).b
+    f = wsvd(problem.a, problem.weight, start=b if route == "krylov" else None)
+    assert (f.krylov_steps is not None) == (route == "krylov")
+    b = b.copy()
+    b[7] = bad
+    solvers = (min_m_norm_ls, lambda f, b: twsvd_solution(f, b, 3),
+               lambda f, b: tikhonov_wsvd(f, b, 1e-4), twsvd_record,
+               lambda f, b: tikhonov_opt(f, b, problem.x_true))
+    for solve in solvers:
+        with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
+            solve(f, b)
 
 
 # -- the Krylov route (a starting vector) ------------------------------------

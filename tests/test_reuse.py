@@ -101,6 +101,20 @@ def test_a_kept_dp_run_is_extended(shaw_case, references, steps):
     assert taken == [7, 7, 13]
 
 
+def test_a_rejected_b_leaves_the_kept_run(shaw_case, references, steps):
+    problem, noisy, rules = shaw_case
+    evict()
+    for _ in range(2):
+        solve(shaw_case, "maxiter")
+    bad = noisy.b.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        spr_solve(problem.a, problem.weight, bad, rules["maxiter"], max_iter=MAX_ITER)
+    steps[0] = 0
+    assert_same_bits(solve(shaw_case, "maxiter"), references["maxiter"])
+    assert steps[0] == 0  # the third call on these inputs replays
+
+
 def test_lsqr_baseline_replays_with_a_new_identity_weight_each_call(shaw_case, steps):
     problem, noisy, rules = shaw_case
     args = (problem.a, noisy.b, rules["oracle"])

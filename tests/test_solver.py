@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, min_m_norm_ls,
-                  project_bidiagonal, spr_solve, wlsqr_init, wlsqr_iterate, wlsqr_run,
-                  wlsqr_step, wsvd)
+                  project_bidiagonal, spr_solve, wgkb_init, wgkb_run, wlsqr_init,
+                  wlsqr_iterate, wlsqr_run, wlsqr_step, wsvd)
 
 from conftest import traced_peak
 from test_weights import random_spd
@@ -42,6 +44,16 @@ def test_init_rejects_zero_b():
     a, weight, _ = setup_random(51)
     with pytest.raises(ValueError):
         wlsqr_init(a, weight, np.zeros(50))
+
+
+@pytest.mark.parametrize("entry", [wgkb_init, lambda a, w, b: wgkb_run(a, w, b, 3),
+                                   wlsqr_init, wlsqr_run],
+                         ids=["wgkb_init", "wgkb_run", "wlsqr_init", "wlsqr_run"])
+@pytest.mark.parametrize("shape", [(5,), (0, 5)], ids=["1-D", "empty"])
+def test_a_malformed_matrix_is_rejected_naming_its_shape(entry, shape):
+    a = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        entry(a, WeightMatrix.identity(5), np.ones(shape[0]))
 
 
 def test_first_step_closed_form():

@@ -172,3 +172,28 @@ def test_only_build_problem_starts_threads():
         assert not {mod.split(".")[0] for mod in modules} & {"concurrent", "multiprocessing"}, \
             path.name
     assert owners == {("problems.py", "build_problem")}
+
+
+def _raised_text(node):
+    """The string constants in the exception a raise node builds; none for
+    a bare raise."""
+    return " ".join(sub.value for sub in ast.walk(node.exc or ast.Pass())
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+
+
+def test_one_matrix_check_and_one_vector_check_serve_every_entry():
+    # A, b and x_true are checked by _checked_matrix and _checked_vector;
+    # covers alone still names a shape, comparing A with the factorization
+    defined, shape_raisers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if func.name in ("_checked_matrix", "_checked_vector"):
+                defined.append((path.name, func.name))
+            if any("has shape" in _raised_text(node)
+                   for node in ast.walk(func) if isinstance(node, ast.Raise)):
+                shape_raisers.add((path.name, func.name))
+    assert sorted(defined) == [("bidiag.py", "_checked_matrix"),
+                               ("bidiag.py", "_checked_vector")]
+    assert shape_raisers == {("bidiag.py", "_checked_vector"), ("decomposition.py", "covers")}
