@@ -203,10 +203,10 @@ def _reorth(v, basis, weight=None):
 
 def _checked_matrix(a, weight, scan=True):
     """a as a float array with at least one row and as many columns as
-    weight has, else ValueError; the one matrix check of the package.
-    scan=False skips the finiteness scan, two reads of A, for a caller that
-    runs the recursion on A first: wgkb_init rejects NaN and inf through
-    A^T p_1."""
+    weight has (any number when weight is None), else ValueError; the one
+    matrix check of the package.  scan=False skips the finiteness scan, two
+    reads of A, for a caller that runs the recursion on A first: wgkb_init
+    rejects NaN and inf through A^T p_1."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or 0 in a.shape:
         raise ValueError("A must be two-dimensional with at least one row and one "
@@ -215,7 +215,7 @@ def _checked_matrix(a, weight, scan=True):
     # this needs no bool array of A's size
     if scan and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
-    if a.shape[1] != weight.n:
+    if weight is not None and a.shape[1] != weight.n:
         raise ValueError(
             f"matrix has {a.shape[1]} columns, weight matrix is {weight.n}x{weight.n}"
         )

@@ -34,7 +34,6 @@ import numpy as np
 from .bidiag import (BidiagState, _checked_matrix, project_bidiagonal, wgkb_init,
                      wgkb_step)
 from .decomposition import _rank
-from .weights import WeightMatrix
 
 DEFAULT_MAX_ITER = 200
 

@@ -5,6 +5,8 @@ A weight matrix M defines the inner product <x, y>_M = x^T M y and the norm
 weighted bidiagonalization, the weighted solver) consumes M only through the
 operations exposed here: multiply, solve, inner product, norm, and a
 triangular factor L with M = L^T L, so that ||L x||_2 = ||x||_M exactly.
+M enters through one validated constructor, which every classmethod calls,
+and is kept as one read-only array beside L.
 """
 
 import re
@@ -43,29 +45,68 @@ def _read_only(arr):
     return arr
 
 
-class WeightMatrix:
-    """SPD weight matrix, stored either as a diagonal or as a dense array.
+def _rows(d, x):
+    """The vector d shaped to scale or divide the rows of x, a vector or a
+    matrix of columns."""
+    return d if x.ndim == 1 else d[:, None]
 
-    Construct through the classmethods :meth:`diagonal`, :meth:`dense`, or
-    :meth:`identity`.  Validation is eager: non-SPD input raises ValueError at
-    construction, naming the failing pivot.  The triangular factor is computed
-    once at construction and cached.  M is stored as a private copy, and it
-    and the factor are read-only, so instances are immutable (an in-place
-    edit raises ValueError) and sharing across threads is safe.
+
+class WeightMatrix:
+    """SPD weight matrix M, stored as its diagonal or as a dense array.
+
+    WeightMatrix(m) takes M's array: 1-D for the diagonal of a diagonal M,
+    2-D square for a dense M, which is symmetrized as (M + M^T)/2.  The
+    classmethods :meth:`diagonal`, :meth:`dense` and :meth:`identity` only
+    fix the dimension, so every construction is validated alike and eagerly:
+    a wrong shape, an empty or non-finite M, and a non-SPD M raise
+    ValueError at construction, the last naming the failing diagonal entry
+    or pivot.  The triangular factor is computed once at construction and
+    cached.  M is stored as a private copy, and it and the factor are
+    read-only, so instances are immutable (an in-place edit raises
+    ValueError) and sharing across threads is safe.
     """
 
-    def __init__(self, kind, diag=None, matrix=None):
-        if kind not in ("diagonal", "dense"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        self.kind = kind
-        self._diag = None if diag is None else _read_only(np.array(diag, dtype=float))
-        self._matrix = None if matrix is None else _read_only(0.5 * (matrix + matrix.T))
-        self._sqrt_diag = None
-        self._factor = None
-        if kind == "diagonal":
-            self._validate_diagonal()
+    def __init__(self, m):
+        m = np.asarray(m, dtype=float)
+        if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            m = 0.5 * (m + m.T)
+        elif m.ndim == 1:
+            m = m.copy()
         else:
-            self._validate_dense()
+            raise ValueError("weight matrix must be a 1-D diagonal or a square 2-D "
+                             f"array, got shape {m.shape}")
+        if m.size == 0:
+            raise ValueError("weight matrix must be at least 1x1")
+        if not np.isfinite(m).all():
+            raise ValueError("weight matrix has non-finite entries")
+        if m.ndim == 1:
+            bad = np.flatnonzero(m <= 0)
+            if bad.size:
+                raise ValueError(
+                    f"not positive definite: diagonal entry {bad[0]} is {m[bad[0]]!r}")
+            factor = np.sqrt(m)
+            cond = m.max() / m.min()
+        else:
+            import scipy.linalg
+
+            # Factor with M = L^T L and L lower triangular: the flipped
+            # Cholesky L = (J C J)^T where J M J = C C^T and J is the exchange
+            # matrix.  Its pivots run up from the last row of M, so a failing
+            # j-th leading minor of J M J names row n - j of M.
+            try:
+                c = scipy.linalg.cholesky(m[::-1, ::-1], lower=True, check_finite=False)
+            except scipy.linalg.LinAlgError as exc:
+                hit = re.search(r"(\d+)", str(exc))
+                pivot = f" (pivot {m.shape[0] - int(hit.group(1))})" if hit else ""
+                raise ValueError(f"not positive definite{pivot}") from exc
+            factor = c[::-1, ::-1].T
+            d = np.abs(np.diag(factor))
+            cond = (d.max() / d.min()) ** 2
+        self._m = _read_only(m)
+        self._factor = _read_only(factor)
+        if cond > _COND_WARN:
+            warnings.warn(f"weight matrix condition estimate {cond:.2e} exceeds "
+                          f"{_COND_WARN:.0e}", stacklevel=3)
 
     @classmethod
     def diagonal(cls, weights):
@@ -73,7 +114,7 @@ class WeightMatrix:
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.ndim != 1:
             raise ValueError("diagonal weights must be one-dimensional")
-        return cls("diagonal", diag=w)
+        return cls(w)
 
     @classmethod
     def dense(cls, matrix):
@@ -81,78 +122,33 @@ class WeightMatrix:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense weight matrix must be square")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("dense weight matrix must be finite")
-        return cls("dense", matrix=a)
+        return cls(a)
 
     @classmethod
     def identity(cls, n):
-        return cls("diagonal", diag=np.ones(n))
-
-    # -- construction-time validation ------------------------------------
-
-    def _validate_diagonal(self):
-        w = self._diag
-        if w.size == 0:
-            raise ValueError("weight matrix must be at least 1x1")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("diagonal weights must be finite")
-        bad = np.flatnonzero(w <= 0)
-        if bad.size:
-            raise ValueError(
-                f"not positive definite: diagonal entry {bad[0]} is {w[bad[0]]!r}"
-            )
-        self._sqrt_diag = np.sqrt(w)
-        cond = w.max() / w.min()
-        if cond > _COND_WARN:
-            warnings.warn(
-                f"weight matrix condition estimate {cond:.2e} exceeds {_COND_WARN:.0e}",
-                stacklevel=3,
-            )
-
-    def _validate_dense(self):
-        import scipy.linalg
-
-        a = self._matrix
-        if a.shape[0] == 0:
-            raise ValueError("weight matrix must be at least 1x1")
-        # Factor with M = L^T L and L lower triangular: the flipped Cholesky
-        # L = (J C J)^T where J M J = C C^T and J is the exchange matrix.  Its
-        # pivots run up from the last row of M, so a failing j-th leading
-        # minor of J M J names row n - j of M.
-        try:
-            c = scipy.linalg.cholesky(a[::-1, ::-1], lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            hit = re.search(r"(\d+)", str(exc))
-            pivot = f" (pivot {a.shape[0] - int(hit.group(1))})" if hit else ""
-            raise ValueError(f"not positive definite{pivot}") from exc
-        self._factor = _read_only(c[::-1, ::-1].T)
-        d = np.abs(np.diag(self._factor))
-        cond = (d.max() / d.min()) ** 2
-        if cond > _COND_WARN:
-            warnings.warn(
-                f"weight matrix condition estimate {cond:.2e} exceeds {_COND_WARN:.0e}",
-                stacklevel=3,
-            )
+        return cls(np.ones(n))
 
     # -- basic properties --------------------------------------------------
 
     @property
+    def kind(self):
+        """'diagonal' or 'dense', as M is stored."""
+        return "diagonal" if self._m.ndim == 1 else "dense"
+
+    @property
     def n(self):
-        return self._diag.size if self.kind == "diagonal" else self._matrix.shape[0]
+        return self._m.shape[0]
 
     @property
     def diag(self):
         """Diagonal entries (diagonal kind only), a read-only array."""
-        if self.kind != "diagonal":
+        if self._m.ndim != 1:
             raise ValueError("diag is only stored for the diagonal kind")
-        return self._diag
+        return self._m
 
     def as_array(self):
         """M as a dense array."""
-        if self.kind == "diagonal":
-            return np.diag(self._diag)
-        return self._matrix.copy()
+        return np.diag(self._m) if self._m.ndim == 1 else self._m.copy()
 
     def _check_dim(self, x, what="vector"):
         x = np.asarray(x, dtype=float)
@@ -167,9 +163,9 @@ class WeightMatrix:
     def matvec(self, x):
         """M @ x for a vector or a matrix of columns."""
         x = self._check_dim(x)
-        if self.kind == "diagonal":
-            return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
-        return self._matrix @ x
+        if self._m.ndim == 1:
+            return _rows(self._m, x) * x
+        return self._m @ x
 
     def inner(self, x, y):
         """<x, y>_M = x^T M y."""
@@ -186,30 +182,26 @@ class WeightMatrix:
     def solve(self, v):
         """Solve M w = v for a vector or a matrix of columns."""
         v = self._check_dim(v)
-        if self.kind == "diagonal":
-            return v / self._diag if v.ndim == 1 else v / self._diag[:, None]
+        if self._m.ndim == 1:
+            return v / _rows(self._m, v)
         return self.solve_factor(self.solve_factor(v, transpose=True))
 
     def factor(self):
         """Lower-triangular L with M = L^T L, as a dense array."""
-        if self.kind == "diagonal":
-            return np.diag(self._sqrt_diag)
-        return self._factor
+        return np.diag(self._factor) if self._factor.ndim == 1 else self._factor
 
     def apply_factor(self, x):
         """L @ x."""
         x = self._check_dim(x)
-        if self.kind == "diagonal":
-            s = self._sqrt_diag
-            return s * x if x.ndim == 1 else s[:, None] * x
+        if self._factor.ndim == 1:
+            return _rows(self._factor, x) * x
         return self._factor @ x
 
     def solve_factor(self, y, transpose=False):
         """Solve L z = y, or L^T z = y when transpose is set."""
         y = self._check_dim(y)
-        if self.kind == "diagonal":
-            s = self._sqrt_diag
-            return y / s if y.ndim == 1 else y / s[:, None]
+        if self._factor.ndim == 1:
+            return y / _rows(self._factor, y)
         import scipy.linalg
 
         return scipy.linalg.solve_triangular(

@@ -141,12 +141,13 @@ def _records():
     a, weight, b = np.diag([3.0, 2.0, 1.0]), wsvd.WeightMatrix.identity(3), np.ones(3)
     _, record = wsvd.spr_solve(a, weight, b, wsvd.StoppingRule("maxiter"))
     return {"bidiag": wsvd.wgkb_run(a, weight, b, 2), "record": record,
-            "fact": wsvd.wsvd(a, weight), "solver": wsvd.wlsqr_run(a, weight, b)}
+            "fact": wsvd.wsvd(a, weight), "solver": wsvd.wlsqr_run(a, weight, b),
+            "weight": weight}
 
 
 @pytest.mark.parametrize("owner, name", [("bidiag", "terminated"), ("bidiag", "scale"),
                                          ("record", "ks"), ("fact", "rank"),
-                                         ("solver", "phibar")])
+                                         ("solver", "phibar"), ("weight", "kind")])
 def test_a_derived_run_fact_cannot_be_assigned(owner, name):
     obj = _records()[owner]
     with pytest.raises(AttributeError):
@@ -197,3 +198,19 @@ def test_one_matrix_check_and_one_vector_check_serve_every_entry():
     assert sorted(defined) == [("bidiag.py", "_checked_matrix"),
                                ("bidiag.py", "_checked_vector")]
     assert shape_raisers == {("bidiag.py", "_checked_vector"), ("decomposition.py", "covers")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    # a name counts as used when the module reads it or lists it in
+    # __all__; cli.py imports wlsqr_run only for bench/tracing.py to wrap
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {elt.value
+             for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+             for elt in node.value.elts}
+    assert imported - used == ({"wlsqr_run"} if path.name == "cli.py" else set())

@@ -186,4 +186,40 @@ def test_a_dense_weight_keeps_its_own_read_only_matrix_and_factor():
     with pytest.raises(ValueError, match="read-only"):
         w.factor()[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        w._matrix[0, 0] = 1.0
+        w._m[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
+    ([1.0, np.nan], "non-finite"),
+    ([np.inf, 1.0], "non-finite"),
+    (np.ones((2, 2, 2)), r"got shape \(2, 2, 2\)"),
+    (np.ones((2, 3)), r"got shape \(2, 3\)"),
+    (np.zeros(0), "at least 1x1"),
+    (np.zeros((0, 0)), "at least 1x1"),
+    ([[1.0, 2.0], [2.0, 1.0]], r"not positive definite \(pivot 0\)"),
+    ([1.0, -2.0], "diagonal entry 1"),
+], ids=["nan-dense", "inf-dense", "nan-diagonal", "inf-diagonal", "3-d", "non-square",
+        "empty-diagonal", "empty-dense", "non-spd", "non-positive-diagonal"])
+def test_the_constructor_checks_every_m(m, message):
+    with pytest.raises(ValueError, match=message):
+        WeightMatrix(m)
+
+
+def test_the_classmethods_fix_the_dimension():
+    with pytest.raises(ValueError, match="diagonal weights must be one-dimensional"):
+        WeightMatrix.diagonal(np.eye(2))
+    with pytest.raises(ValueError, match="dense weight matrix must be square"):
+        WeightMatrix.dense([1.0, 2.0])
+
+
+def test_the_constructor_takes_any_array_like_and_derives_its_kind():
+    m = [[2.0, 0.5], [0.1, 1.0]]
+    w = WeightMatrix(m)
+    assert (w.kind, w.n) == ("dense", 2)
+    assert np.array_equal(w.as_array(), WeightMatrix.dense(m).as_array())
+    assert np.array_equal(w.factor(), WeightMatrix.dense(m).factor())
+    d = WeightMatrix([4.0, 1.0, 0.25])
+    assert (d.kind, d.n) == ("diagonal", 3)
+    assert np.array_equal(d.factor(), np.diag([2.0, 1.0, 0.5]))
