@@ -5,10 +5,14 @@ rule), sweep (epsilon x seed x method x rule grid), lcurve (corner
 diagnostics), wsvd (dump a factorization), triplets (approximate weighted
 singular triplets with residual bounds).
 
-Every command runs on the library's single paths: solve, sweep and lcurve
-take their histories from spr_solve or twsvd_record and their stop indices
-from select, triplets steps the recursion with wgkb_run, and gen and wsvd
-write their binary files with problems.write_array.
+Every command runs on the library's single paths.  solve, sweep and lcurve
+share one cell: it factors (or reuses a factorization that covers b), runs
+one history from spr_solve, lsqr_baseline or twsvd_record, and selects
+every rule from it with select.  A cell with one rule runs its history
+under that rule, so a one-rule sweep's dp stops at its crossing, with the
+rows a sweep of several rules gives.  triplets steps the recursion with
+wgkb_run, and gen and wsvd write their binary files with
+problems.write_array.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
@@ -160,7 +164,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-# -- histories shared by solve and sweep -------------------------------------
+# -- the cell shared by solve, sweep and lcurve --------------------------------
 
 def _rules(cfg, problem, noisy):
     """The stopping rules of cfg for one noisy instance, or none when cfg's
@@ -175,23 +179,43 @@ def _rules(cfg, problem, noisy):
             for kind in cfg.rules]
 
 
-def _history(method, rule, problem, noisy, cfg, fact):
-    """The RunRecord of a wlsqr, lsqr or twsvd run under rule; twsvd reads
-    the factorization fact."""
+def _cell(method, rules, problem, noisy, cfg, cache):
+    """Each (label, stop_k, rel_err, result) of method on one noisy
+    instance, one per rule in order.  It is a generator, so a rule that
+    raises keeps the rows of the rules before it.
+
+    Only twsvd and tikh-opt factor.  They take cache's factorization when it
+    was made or accepted for this noisy, or when covers accepts it for
+    noisy.b; otherwise they factor from noisy.b into cache.  tikh-opt gives
+    one row whatever the rules: its x, labelled oracle, since the
+    error-optimal parameter is the oracle's choice.  The other methods run
+    one history from spr_solve, lsqr_baseline or twsvd_record: under the
+    rule when there is exactly one, so that dp stops at its crossing, and
+    else to max_iter.  Every rule selects its record from that one history;
+    rel_err is nan at index 0, where no iterate ran.  A built or loaded
+    problem always carries x_true, so rel_errors is set.
+    """
+    a, b, x_true = problem.a, noisy.b, problem.x_true
+    if method in ("twsvd", "tikh-opt") and cache.get("noisy") is not noisy:
+        if "fact" not in cache or not covers(cache["fact"], a, b):
+            cache["fact"] = wsvd(a, problem.weight, start=b)
+        cache["noisy"] = noisy
+    if method == "tikh-opt":
+        _, x = tikhonov_opt(cache["fact"], b, x_true)
+        yield "oracle", 0, float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true)), x
+        return
+    run = rules[0] if len(rules) == 1 else StoppingRule("maxiter")
     if method == "twsvd":
-        return select(rule, twsvd_record(fact, noisy.b, problem.x_true, cfg.max_iter))
-    if method == "lsqr":
-        return lsqr_baseline(problem.a, noisy.b, rule, max_iter=cfg.max_iter,
-                             x_true=problem.x_true)[1]
-    return spr_solve(problem.a, problem.weight, noisy.b, rule, max_iter=cfg.max_iter,
-                     x_true=problem.x_true)[1]
-
-
-def _stop_error(record):
-    """rel_err of the chosen iterate; nan at index 0, where no iterate ran.
-    A built or loaded problem always carries x_true, so rel_errors is set."""
-    k = record.stop_index
-    return float(record.rel_errors[k - 1]) if k >= 1 else float("nan")
+        history = twsvd_record(cache["fact"], b, x_true, cfg.max_iter)
+    elif method == "lsqr":
+        history = lsqr_baseline(a, b, run, max_iter=cfg.max_iter, x_true=x_true)[1]
+    else:
+        history = spr_solve(a, problem.weight, b, run, max_iter=cfg.max_iter,
+                            x_true=x_true)[1]
+    for rule in rules:
+        record = select(rule, history)
+        k = record.stop_index
+        yield rule.kind, k, float(record.rel_errors[k - 1]) if k >= 1 else float("nan"), record
 
 
 # -- subcommands --------------------------------------------------------------
@@ -219,33 +243,25 @@ def cmd_gen(cfg, args):
 
 def cmd_solve(cfg, args):
     method = _single(cfg.methods, "--method")
-    rule_kind = _single(cfg.rules, "--rule")
+    _single(cfg.rules, "--rule")
     problem, noisy = _instance(cfg, args.indir)
     rules = _rules(cfg, problem, noisy)
 
     t0 = time.perf_counter()
-    fact = None
-    if method in ("twsvd", "tikh-opt"):
-        fact = wsvd(problem.a, problem.weight, start=noisy.b)
+    [(label, stop_k, rel_err, result)] = _cell(method, rules, problem, noisy, cfg, {})
     if method == "tikh-opt":
-        _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
-        rule_kind = "oracle"  # the error-optimal parameter, as sweep labels it
-        rel_err = float(np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true))
-        rows = [("0", _fmt(np.linalg.norm(problem.a @ x - noisy.b)),
-                 _fmt(problem.weight.norm(x)), _fmt(rel_err))]
-        stop_k = 0
+        rows = [("0", _fmt(np.linalg.norm(problem.a @ result - noisy.b)),
+                 _fmt(problem.weight.norm(result)), _fmt(rel_err))]
     else:
-        record = _history(method, rules[0], problem, noisy, cfg, fact)
-        rows = [(str(k), _fmt(record.residual_norms[k - 1]),
-                 _fmt(record.solution_m_norms[k - 1]), _fmt(record.rel_errors[k - 1]))
-                for k in record.ks]
-        stop_k, rel_err = record.stop_index, _stop_error(record)
+        rows = [(str(k), _fmt(result.residual_norms[k - 1]),
+                 _fmt(result.solution_m_norms[k - 1]), _fmt(result.rel_errors[k - 1]))
+                for k in result.ks]
     wall_ms = (time.perf_counter() - t0) * 1e3
 
-    tag = f"{problem.name}_{method}_{rule_kind}_eps{noisy.epsilon:g}_seed{noisy.seed}"
+    tag = f"{problem.name}_{method}_{label}_eps{noisy.epsilon:g}_seed{noisy.seed}"
     _write_csv(os.path.join(cfg.out, f"run_{tag}.csv"),
                "k,res_norm,sol_mnorm,rel_err", rows)
-    summary = f"{problem.name},{rule_kind},{method},{stop_k},{_fmt(rel_err)},{wall_ms:.1f}"
+    summary = f"{problem.name},{label},{method},{stop_k},{_fmt(rel_err)},{wall_ms:.1f}"
     _write_csv(os.path.join(cfg.out, f"summary_{tag}.csv"),
                "problem,rule,method,stop_k,rel_err,wall_ms", [summary.split(",")])
     print("problem,rule,method,stop_k,rel_err,wall_ms")
@@ -264,32 +280,17 @@ def cmd_sweep(cfg, args):
     if args.epsilons is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n)
-    # The spectral rows of a pair share one factorization.  The sweep keeps
-    # the last one it made and reuses it for every pair whose b it covers (a
-    # dense one covers every b); any other pair factors from its own b.
-    last = None
+    # The spectral methods' factorization outlives its pair: the last one
+    # made serves every pair whose b it covers (a dense one covers every b).
+    cache = {}
     rows = []
     for epsilon, seed in itertools.product(cfg.epsilons, cfg.seeds):
         noisy = add_noise(problem, epsilon, seed)
         rules = _rules(cfg, problem, noisy)
-        fact = None
         for method in cfg.methods:
             try:
-                if method in ("tikh-opt", "twsvd") and fact is None:
-                    if last is None or not covers(last, problem.a, noisy.b):
-                        last = wsvd(problem.a, problem.weight, start=noisy.b)
-                    fact = last
-                if method == "tikh-opt":
-                    _, x = tikhonov_opt(fact, noisy.b, problem.x_true)
-                    err = np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true)
-                    rows.append((epsilon, seed, method, "oracle", 0, float(err), "ok"))
-                    continue
-                # every rule selects from the one maxiter history of the cell
-                record = _history(method, StoppingRule("maxiter"), problem, noisy, cfg, fact)
-                for rule in rules:
-                    chosen = select(rule, record)
-                    rows.append((epsilon, seed, method, rule.kind, chosen.stop_index,
-                                 _stop_error(chosen), "ok"))
+                for label, k, err, _ in _cell(method, rules, problem, noisy, cfg, cache):
+                    rows.append((epsilon, seed, method, label, k, err, "ok"))
             except Exception as exc:  # noqa: BLE001  a failed cell must not kill the sweep
                 rows.append((epsilon, seed, method, "-", 0, float("nan"), _error_status(exc)))
 
@@ -335,8 +336,7 @@ def cmd_lcurve(cfg, args):
         record = select(lc, _points_record(args.points))
     else:
         problem, noisy = _instance(cfg)
-        _, record = spr_solve(problem.a, problem.weight, noisy.b, lc,
-                              max_iter=cfg.max_iter)
+        [(_, _, _, record)] = _cell("wlsqr", [lc], problem, noisy, cfg, {})
     # select gives index 0 on an empty history and raises on 1 to 4 points
     if record.ks.size == 0:
         raise ValueError("L-curve selection needs >= 5 points, got 0")

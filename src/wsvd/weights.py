@@ -10,6 +10,7 @@ and is kept as one read-only array beside L.
 """
 
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -68,11 +69,7 @@ class WeightMatrix:
 
     def __init__(self, m):
         m = np.asarray(m, dtype=float)
-        if m.ndim == 2 and m.shape[0] == m.shape[1]:
-            m = 0.5 * (m + m.T)
-        elif m.ndim == 1:
-            m = m.copy()
-        else:
+        if m.ndim not in (1, 2) or m.shape[0] != m.shape[-1]:
             raise ValueError("weight matrix must be a 1-D diagonal or a square 2-D "
                              f"array, got shape {m.shape}")
         if m.size == 0:
@@ -80,6 +77,7 @@ class WeightMatrix:
         if not np.isfinite(m).all():
             raise ValueError("weight matrix has non-finite entries")
         if m.ndim == 1:
+            m = m.copy()
             bad = np.flatnonzero(m <= 0)
             if bad.size:
                 raise ValueError(
@@ -89,6 +87,14 @@ class WeightMatrix:
         else:
             import scipy.linalg
 
+            # 0.5 * (m + m.T) wherever that sum stays finite; an entry whose
+            # sum overflows is halved first, which cannot overflow.  Halving
+            # first everywhere would round subnormal entries.
+            with np.errstate(over="ignore"):
+                sym = 0.5 * (m + m.T)
+            over = np.isinf(sym)
+            sym[over] = 0.5 * m[over] + 0.5 * m.T[over]
+            m = sym
             # Factor with M = L^T L and L lower triangular: the flipped
             # Cholesky L = (J C J)^T where J M J = C C^T and J is the exchange
             # matrix.  Its pivots run up from the last row of M, so a failing
@@ -105,8 +111,13 @@ class WeightMatrix:
         self._m = _read_only(m)
         self._factor = _read_only(factor)
         if cond > _COND_WARN:
+            # name the line that constructs the weight, past this module's
+            # frames (a classmethod calling cls)
+            frame, level = sys._getframe(1), 2
+            while frame.f_globals is globals():
+                frame, level = frame.f_back, level + 1
             warnings.warn(f"weight matrix condition estimate {cond:.2e} exceeds "
-                          f"{_COND_WARN:.0e}", stacklevel=3)
+                          f"{_COND_WARN:.0e}", stacklevel=level)
 
     @classmethod
     def diagonal(cls, weights):

@@ -184,6 +184,38 @@ def test_sweep_grid_and_consistency(tmp_path, capsys):
     assert float(cell["rel_err"]) == pytest.approx(float(srow[4]), rel=1e-12)
 
 
+CELL_PAIR = ["--problem", "shaw", "--m", "300", "--n", "201", "--epsilon", "1e-2",
+             "--seed", "3"]
+
+
+def test_solve_and_sweep_agree_on_every_cell(tmp_path, capsys):
+    # 3 Krylov or spectral methods x dp, lc, oracle, and tikh-opt's one row
+    assert main(["sweep", *CELL_PAIR, "--method", "wlsqr", "lsqr", "twsvd", "tikh-opt",
+                 "--rule", "dp", "lc", "oracle", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = read_csv(tmp_path / "sweep_shaw.csv")
+    assert len(rows) == 10 and all(r["status"] == "ok" for r in rows)
+    for row in rows:
+        assert main(["solve", *CELL_PAIR, "--method", row["method"], "--rule", row["rule"],
+                     "--out", str(tmp_path / "solve")]) == 0
+        summary = capsys.readouterr().out.splitlines()[1].split(",")
+        assert summary[1:5] == [row["rule"], row["method"], row["stop_k"], row["rel_err"]]
+
+
+@pytest.mark.parametrize("rule", ["dp", "lc", "oracle"])
+def test_a_one_rule_sweep_gives_the_rows_of_the_full_sweep(tmp_path, capsys, rule):
+    # one rule runs the history under itself (dp stops at its crossing),
+    # several run it to --max-iter; the rows are the same
+    methods = ["--method", "wlsqr", "lsqr", "twsvd"]
+    assert main(["sweep", *CELL_PAIR, *methods, "--rule", "dp", "lc", "oracle",
+                 "--out", str(tmp_path / "all")]) == 0
+    assert main(["sweep", *CELL_PAIR, *methods, "--rule", rule,
+                 "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    full = [r for r in read_csv(tmp_path / "all" / "sweep_shaw.csv") if r["rule"] == rule]
+    assert read_csv(tmp_path / "one" / "sweep_shaw.csv") == full
+
+
 def count_krylov_attempts(monkeypatch):
     """A list that grows by one per Krylov-route attempt of wsvd."""
     calls = []

@@ -37,6 +37,20 @@ def test_the_cli_runs_no_engine_loop_of_its_own():
     assert not called_names(SRC / "cli.py") & {"wgkb_step", "wgkb_init", "wlsqr_run"}
 
 
+def test_only_the_cell_runs_a_history_or_factors_in_the_cli():
+    # solve, sweep and lcurve share _cell; cmd_wsvd's dump is the one other
+    # factorization
+    owners = {}
+    for top in ast.parse((SRC / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                owners.setdefault(name, set()).add(getattr(top, "name", None))
+    for name in ("spr_solve", "lsqr_baseline", "twsvd_record", "tikhonov_opt", "covers"):
+        assert owners.get(name) == {"_cell"}, name
+    assert owners.get("wsvd") == {"_cell", "cmd_wsvd"}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_takes_a_reorth_or_keep_iterates_switch(path):
     # the recursion always reorthogonalizes fully and never stores iterates,

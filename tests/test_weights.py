@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,45 @@ def test_dense_rejects_nonfinite():
 def test_condition_warning():
     with pytest.warns(UserWarning, match="condition"):
         WeightMatrix.diagonal([1e14, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightMatrix([1e14, 1.0]),
+    lambda: WeightMatrix(np.diag([1e14, 1.0])),
+    lambda: WeightMatrix.diagonal([1e14, 1.0]),
+    lambda: WeightMatrix.dense(np.diag([1e14, 1.0])),
+], ids=["direct-diagonal", "direct-dense", "diagonal", "dense"])
+def test_the_condition_warning_names_the_line_that_constructs_the_weight(make):
+    # each lambda is its own line; a classmethod's frame in weights.py is
+    # skipped, the direct call has none to skip
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make()
+    [warning] = caught
+    assert (warning.filename, warning.lineno) == (__file__, make.__code__.co_firstlineno)
+
+
+def test_a_dense_m_whose_symmetrization_would_overflow_is_factored():
+    # every entry of m + m.T overflows; halving first keeps M's own entries
+    m = [[1.5e308, 1e308], [1e308, 1.5e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = WeightMatrix.dense(m)
+    assert np.array_equal(w.as_array(), m)
+    ell = w.factor()
+    assert np.isfinite(ell).all()
+    assert np.allclose((ell.T / 1e154) @ (ell / 1e154), np.array(m) / 1e308, rtol=1e-14)
+
+
+def test_a_dense_m_keeps_the_bits_of_the_plain_symmetrization():
+    # subnormal off-diagonal entries, where halving first would round
+    tiny = np.nextafter(0.0, 1.0)
+    m = np.eye(3)
+    m[np.triu_indices(3, 1)] = tiny * np.array([1.0, 3.0, 5.0])
+    m[np.tril_indices(3, -1)] = tiny * np.array([1.0, 1.0, 2.0])
+    want = 0.5 * (m + m.T)
+    assert not np.array_equal(0.5 * m + 0.5 * m.T, want)
+    assert WeightMatrix.dense(m).as_array().tobytes() == want.tobytes()
 
 
 def test_factor_identity_dense():
