@@ -77,11 +77,10 @@ class BidiagState:
     envelope holds the (r0, r1, c0, c1) row blocks of A that every product
     reads (see _envelope).
 
-    The basis vectors live as columns of two F-ordered buffers, allocated
-    once by wgkb_init with cap = min(max_steps, m, n) + 1 columns.  k steps
-    fill k + 1 columns of each, less the vector a zero beta_{k+1} or
-    alpha_{k+1} stands for.  P and Q are read-only views of the filled
-    columns, so P[:, i] is p_{i+1} and Q[:, i] is q_{i+1}.
+    The basis vectors live as columns of two F-ordered buffers sized once by
+    wgkb_init.  k steps fill k + 1 columns of each, less the vector a zero
+    beta_{k+1} or alpha_{k+1} stands for.  P and Q are read-only views of
+    the filled columns, so P[:, i] is p_{i+1} and Q[:, i] is q_{i+1}.
     """
 
     p_buf: np.ndarray
@@ -136,11 +135,10 @@ def _row_bounds(m):
 def _envelope(a):
     """Row blocks (r0, r1, c0, c1) covering the rows of a in order: outside
     columns c0:c1, rows r0:r1 of a are all zero.  c0 and c1 are panel
-    boundaries (or n); an all-zero block is (r0, r1, 0, 0).  Adjacent blocks
-    with the same columns merge, so a dense a gives ((0, m, 0, n),).
-
-    Each block is searched panel by panel from each side.  NaN and inf are
-    nonzero here (.any() is true for them), so they are never skipped.
+    boundaries (or n); an all-zero block is (r0, r1, 0, 0), and a dense a
+    gives ((0, m, 0, n),).  Each block is searched panel by panel from each
+    side.  NaN and inf are nonzero here (.any() is true for them), so they
+    are never skipped.
     """
     m, n = a.shape
     panels = range(0, n, ENVELOPE_COLS)
@@ -316,7 +314,9 @@ def wgkb_step(state, a, weight):
 def wgkb_run(a, weight, b, steps):
     """The recursion from b, stepped until it terminates or has taken
     `steps` steps; the bases are sized once for that budget (see
-    wgkb_init).  steps = 0 returns the state of wgkb_init."""
+    wgkb_init).  steps = 0 returns the state of wgkb_init.  The Krylov wsvd
+    route and the triplets command run through it; the solver steps the
+    recursion inside its own step (wlsqr_step)."""
     a = _checked_matrix(a, weight, scan=False)  # the steps read a as an array
     state = wgkb_init(a, weight, b, max_steps=steps)
     while not state.terminated and state.k < steps:

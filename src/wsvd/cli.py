@@ -5,14 +5,9 @@ rule), sweep (epsilon x seed x method x rule grid), lcurve (corner
 diagnostics), wsvd (dump a factorization), triplets (approximate weighted
 singular triplets with residual bounds).
 
-Every command runs on the library's single paths.  solve, sweep and lcurve
-share one cell: it factors (or reuses a factorization that covers b), runs
-one history from spr_solve, lsqr_baseline or twsvd_record, and selects
-every rule from it with select.  A cell with one rule runs its history
-under that rule, so a one-rule sweep's dp stops at its crossing, with the
-rows a sweep of several rules gives.  triplets steps the recursion with
-wgkb_run, and gen and wsvd write their binary files with
-problems.write_array.
+Every command runs on the library's single paths: solve, sweep and lcurve
+share one cell (_cell), triplets steps the recursion with wgkb_run, and gen
+and wsvd write their binary files with problems.write_array.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
@@ -44,7 +39,9 @@ SWEEP_EPSILONS = (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
 
 @dataclass
 class ExperimentConfig:
-    """Full experiment configuration; round-trips losslessly through text."""
+    """Full experiment configuration; round-trips losslessly through text.
+    A max_iter below 1 raises ValueError, so every command rejects it with
+    exit 1 before any work."""
 
     problem: str = "shaw"
     m: int | None = None
@@ -193,7 +190,8 @@ def _cell(method, rules, problem, noisy, cfg, cache):
     rule when there is exactly one, so that dp stops at its crossing, and
     else to max_iter.  Every rule selects its record from that one history;
     rel_err is nan at index 0, where no iterate ran.  A built or loaded
-    problem always carries x_true, so rel_errors is set.
+    problem always carries x_true, so rel_errors is set.  A cell with one
+    rule thus gives the rows that a cell with several rules gives for it.
     """
     a, b, x_true = problem.a, noisy.b, problem.x_true
     if method in ("twsvd", "tikh-opt") and cache.get("noisy") is not noisy:
@@ -242,6 +240,8 @@ def cmd_gen(cfg, args):
 
 
 def cmd_solve(cfg, args):
+    """One cell; with --in, the files are named after the directory's stored
+    epsilon and seed, so solves of two directories never clash."""
     method = _single(cfg.methods, "--method")
     _single(cfg.rules, "--rule")
     problem, noisy = _instance(cfg, args.indir)
@@ -277,11 +277,15 @@ def _error_status(exc):
 
 
 def cmd_sweep(cfg, args):
+    """Runs each (epsilon, seed, method) cell once, in turn; the epsilons
+    default to SWEEP_EPSILONS.  The noise is added once per pair.  The last
+    factorization made serves every pair whose b it covers (a dense one
+    covers all), so a shaw or expst sweep factors once and a phillips or
+    green sweep fails one Krylov attempt, then reuses the dense one.  A
+    failed cell gives one row whose status is _error_status."""
     if args.epsilons is None:
         cfg.epsilons = list(SWEEP_EPSILONS)
     problem = build_problem(cfg.problem, cfg.m, cfg.n)
-    # The spectral methods' factorization outlives its pair: the last one
-    # made serves every pair whose b it covers (a dense one covers every b).
     cache = {}
     rows = []
     for epsilon, seed in itertools.product(cfg.epsilons, cfg.seeds):
@@ -331,6 +335,9 @@ def _points_record(path):
 
 
 def cmd_lcurve(cfg, args):
+    """The L-curve and the corner select picks, of a wlsqr cell under the lc
+    rule or of the RunRecord that --points reads.  Fewer than 5 points, an
+    empty file included, exit 1."""
     lc = StoppingRule("lc")
     if args.points is not None:
         record = select(lc, _points_record(args.points))
@@ -375,6 +382,9 @@ def cmd_wsvd(cfg, args):
 
 
 def cmd_triplets(cfg, args):
+    """approx_triplets of a wgkb_run of --max-iter steps (default 30).
+    --count below 1, or a --triplet-tol that is not finite and >= 0, exits 1
+    with nothing written."""
     steps = cfg.max_iter if cfg.max_iter is not None else 30
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")

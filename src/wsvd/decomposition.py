@@ -10,9 +10,7 @@ U = Uh and V = L^{-1} Vh.  The Krylov route, taken when a starting vector b
 is given, runs the weighted Golub-Kahan recursion from b with full
 reorthogonalization for at most KRYLOV_MAX_STEPS steps.  If it terminates,
 the compact SVD B_k = Y Theta H^T of the projection gives U = P Y, V = Q H
-and S = Theta; if it does not, the dense route runs instead.  Both routes
-keep the values above max(m, n) * eps * sigma_1 of the singular values they
-computed.
+and S = Theta; if it does not, the dense route runs instead.
 
 At termination the Krylov space contains b and is numerically invariant
 under the weighted normal operator, so every quantity that only sees b
@@ -130,6 +128,10 @@ def wsvd(a, weight, full_matrices=False, start=None):
     Returns
     -------
     WsvdFactorization
+
+    Raises ValueError for an A that _checked_matrix rejects and for NaN or
+    inf in A, which the dense route scans for and the Krylov route finds in
+    A^T p_1 (see wgkb_init).
     """
     # with a start, the recursion runs before any dense work and checks A
     a = _checked_matrix(a, weight, scan=start is None)

@@ -74,7 +74,10 @@ def simpson_weights(n, t1, t2):
     """Composite Simpson weights (h/3)(1, 4, 2, 4, ..., 2, 4, 1) on n nodes.
 
     n must be odd and >= 3.  h = (t2 - t1)/(n - 1) spans the interval with
-    the endpoint nodes, so the weights sum to the interval length.
+    the endpoint nodes, so the weights sum to the interval length.  The
+    paper prints the constant as (t2 - t1)/n, which only rescales A, M and b
+    by (n - 1)/n and changes no stop index or error, so there is one
+    spacing.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"composite Simpson rule needs odd n >= 3, got {n}")
@@ -144,11 +147,8 @@ def _kernel_into(name, s, t, out):
 
 
 def kernel_eval(name, s, t):
-    """K(s, t), vectorized with broadcasting over s and t.
-
-    The result is one new array of the broadcast shape, filled in place; the
-    other temporaries (shaw's sinc factor, bool masks) are the same size.
-    """
+    """K(s, t), vectorized with broadcasting over s and t, as one new array
+    that _kernel_into fills in place."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if name not in TABLE_DIMS:
@@ -255,7 +255,9 @@ def build_problem(name, m=None, n=None):
 
 
 def add_noise(problem, epsilon, seed):
-    """Gaussian noise rescaled so ||e||_2 = epsilon * ||b_exact||_2 exactly."""
+    """Gaussian noise rescaled so ||e||_2 = epsilon * ||b_exact||_2 exactly.
+    An epsilon that is negative, NaN or inf raises ValueError, so gen and
+    sweep exit 1."""
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0.0:
@@ -322,7 +324,8 @@ def save_problem(dirpath, problem, noisy):
 def load_problem(dirpath):
     """Read back a directory written by save_problem; returns
     (TestProblem, NoisyData).  The weights come from M.diag; a meta key not
-    read here, which an older directory may carry, is ignored."""
+    read here, which an older directory may carry, is ignored.  A is read
+    straight into its array, so it is held once."""
     meta = {}
     with open(os.path.join(dirpath, "meta")) as fh:
         for line in fh:

@@ -6,11 +6,8 @@ tau * ||e||_2), 'lc' the L-curve corner by discrete Menger curvature in
 log-log coordinates, 'oracle' the error-minimizing index (needs x_true),
 and 'maxiter' simply the last computed iterate.
 
-Since every rule selects from the same recursion, spr_solve keeps the one
-recursion it last ran and continues it when it is called again on the same
-A, M and b (see spr_solve).  An earlier selected iterate is recovered by
-replaying the solver's own update (wlsqr_iterate), so spr_solve returns,
-bit for bit, the iterate whose relative error its record reports.
+spr_solve keeps the recursion it ran last for a repeat call on the same
+inputs; its docstring states that contract.
 """
 
 import threading
@@ -34,16 +31,17 @@ _LC_DEDUP = 1e-12
 # largest corner curvature at or below this means "no corner"
 _LC_FLAT = 1e-10
 
-# The recursion spr_solve ran last, as (key, digest, BidiagState), or None.
-# A call takes it out under the lock, so no two calls share one, and never
-# hands it to its caller.
+# The recursion spr_solve ran last, as (key, digest, BidiagState), or None
 _kept = None
 _kept_lock = threading.Lock()
 
 
 @dataclass
 class StoppingRule:
-    """Stopping rule selector, validated at construction."""
+    """Stopping rule selector, validated at construction: a dp rule needs a
+    tau that is finite and > 1 and a noise_norm that is finite and > 0, an
+    oracle rule needs x_true, and ValueError is raised otherwise (so `wsvd
+    solve --tau nan` exits 1)."""
 
     kind: str
     tau: float = DEFAULT_TAU
@@ -223,7 +221,8 @@ def select(rule, record):
     the L-curve corner (unsatisfied when there is none); oracle the error
     minimum, which needs rel_errors; maxiter the last index.  An empty
     history (b orthogonal to the range of A, so x_0 = 0 is the solution)
-    gives index 0, satisfied.
+    gives index 0, satisfied.  Selecting from a maxiter history gives the
+    index, satisfied and degenerate that a run under the rule gives.
     """
     steps = len(record.residual_norms)
     satisfied, degenerate = True, False
@@ -314,8 +313,7 @@ def _take_kept(key, a, weight):
     """(recursion, digest) for a run of key on a and weight.  The slot is
     emptied either way.  The digest is computed only when the kept key
     matches, and recursion is the kept one only when its digest matches too;
-    otherwise it is None, and the kept one is dropped before the caller
-    allocates a new one."""
+    otherwise it is None, and the kept one is dropped."""
     global _kept
     with _kept_lock:
         kept, _kept = _kept, None
@@ -330,49 +328,45 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
 
     Returns (x, RunRecord).  x_true (defaulting to rule.x_true) enables the
     rel_errors history; it must have shape (n,), finite entries and a
-    nonzero norm, else ValueError.  The dp rule stops the iteration eagerly
-    at the first crossing; the other rules run to max_iter, and select picks
-    the index from the history.  A selected earlier iterate is recovered
-    by wlsqr_iterate, which replays the solver's update over the stored
-    columns, so no iterate is stored, the solver runs once, and x is the
-    iterate whose rel_errors entry the record reports, bit for bit.  The
-    recursion always reorthogonalizes fully (see wgkb_step).
+    nonzero norm, else ValueError before any work.  The dp rule stops the
+    iteration eagerly at the first crossing; the other rules run to
+    max_iter, and select picks the index from the history.  An earlier
+    selected iterate comes from wlsqr_iterate, so no iterate is stored, the
+    solver runs once, and x is the iterate whose rel_errors entry the record
+    reports, bit for bit.
 
-    The rules all select from the same recursion, so the last one run is
-    kept and continued when a call repeats A, M, b and max_iter.  A cheap
+    The kept run.  All rules select from the same recursion, so the last
+    one run is kept and continued when a call repeats A, M, b and max_iter,
+    as the paper's tables do with dp, lc and oracle on one problem.  A cheap
     key (A's shape and strides, max_iter as passed, M's kind and size, a
-    diagonal M's entries, b) is compared first; on a match a crc32 over A
-    and M's stored array (19 to 50 ms at table size) is compared with the
-    one the kept run stored.  The first repeat computes that digest and
-    runs afresh, so the third and later calls on unchanged inputs replay
-    the kept recursion, and step it further when they need more steps.
-    Each such result has the bits of a fresh run at a fixed BLAS thread
-    count; a kept run replays the count it was computed under.  The crc32
-    is a 32-bit checksum, not a proof of equality: it catches every
-    in-place edit of A confined to 32 consecutive bits (the low mantissa
-    bits of one entry, say), but an edit that keeps the checksum, with a
-    chance of about 2**-32 for an arbitrary one, replays the stale
-    recursion.  b and a diagonal M are compared in full; a WeightMatrix is
-    read-only.
+    diagonal M's entries, b) is compared first, so a sweep, whose runs each
+    have a new b or another diagonal M, never reads A for the crc32 over A
+    and M's stored array that a key match compares next.  The first repeat
+    stores that digest and runs afresh; later calls on unchanged inputs
+    replay the kept columns and step the recursion only past them.  It is
+    deterministic and each step reads only its own columns, so each result
+    has the bits of a fresh run at a fixed BLAS thread count (a replayed
+    column keeps the count it was computed under).  The crc32 catches every
+    in-place edit of A confined to 32 consecutive bits; an edit that keeps
+    it, about one chance in 2**32, replays the stale recursion.
 
-    At most one run is kept: its bases for the step budget,
-    8 * budget * (m + n) bytes (about 12 MB for green at table size, 160 MB
-    for m = 1e5 at the default budget of 200).  It stays alive after the
-    last call; only a later call on other inputs releases it, by putting
-    its own run in its place.  A call takes the kept run out under a lock,
-    so concurrent calls never share one; it drops a kept run it cannot use
-    before allocating its own.
+    At most one run is kept: its bases, 8 * budget * (m + n) bytes (about
+    12 MB for green at table size, 160 MB for m = 1e5 at the default 200).
+    It stays alive until a call on other inputs puts its own run in its
+    place.  A call takes the kept run out under a lock, so concurrent calls
+    never share one, and never hands it to its caller; it drops a kept run
+    it cannot use before allocating its own.  b is checked before the kept
+    run is taken out, so a rejected b leaves it, and a run is kept even when
+    select raises (an lc rule on fewer than 5 steps).
     """
     global _kept
     a = _checked_matrix(a, weight, scan=False)
-    # checked before the kept run is taken out, so a rejected b leaves it
     b = _checked_vector(b, a.shape[0], "starting vector b")
     if x_true is None:
         x_true = rule.x_true
     if x_true is not None:
         x_true, x_true_norm = _checked_x_true(x_true, a.shape[1])
 
-    # a sweep solves each b under two diagonal weights, told apart here
     diag = weight.diag.tobytes() if weight.kind == "diagonal" else None
     key = (a.shape, a.strides, max_iter, weight.kind, weight.n, diag, b.shape, b.tobytes())
     bidiag, digest = _take_kept(key, a, weight)
@@ -387,19 +381,21 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
         return thr is not None and res <= thr
 
     state = wlsqr_run(a, weight, b, max_iter=max_iter, callback=cb, _bidiag=bidiag)
-    record = select(rule, RunRecord(
-        residual_norms=np.asarray(state.residual_norms),
-        solution_m_norms=np.asarray(state.solution_m_norms),
-        rel_errors=np.asarray(errs) if errs is not None else None,
-        initial_residual=state.initial_residual,
-        stop_index=state.k,
-        rule="maxiter",
-        terminated_at=state.bidiag.termination_step if state.done else None,
-    ))
-    k = record.stop_index
-    x = state.x if k == state.k else wlsqr_iterate(state.bidiag, k)
-    with _kept_lock:
-        _kept = (key, digest, state.bidiag)
+    try:
+        record = select(rule, RunRecord(
+            residual_norms=np.asarray(state.residual_norms),
+            solution_m_norms=np.asarray(state.solution_m_norms),
+            rel_errors=np.asarray(errs) if errs is not None else None,
+            initial_residual=state.initial_residual,
+            stop_index=state.k,
+            rule="maxiter",
+            terminated_at=state.bidiag.termination_step if state.done else None,
+        ))
+        k = record.stop_index
+        x = state.x if k == state.k else wlsqr_iterate(state.bidiag, k)
+    finally:
+        with _kept_lock:
+            _kept = (key, digest, state.bidiag)
     return x, record
 
 

@@ -14,17 +14,8 @@ rule max(m, n) eps theta_1, and takes the residual norm from the projected
 system.  The iterate is then the minimum-M-norm least-squares solution of
 the Krylov wsvd route, min_m_norm_ls(wsvd(a, weight, start=b), b).
 
-One update (_advance) moves the iterate; wlsqr_iterate replays it over the
-stored columns to recover an earlier x_k with the solver's own bits.
-
-The solver can also continue a recursion that an earlier run of the same a,
-weight and b left behind (wlsqr_run's private _bidiag, which only spr_solve
-passes, with a recursion it never hands out).  Its steps first replay the
-columns that recursion already holds, stepping it further only once they
-have caught up, so at a fixed BLAS thread count every iterate and norm has
-the bits of a fresh run: the recursion is then deterministic and each step
-reads only its own columns.  A replayed column keeps the thread count it was
-computed under.
+The solver can also continue the recursion that spr_solve keeps (see
+spr_solve and wlsqr_run's _bidiag).
 """
 
 from dataclasses import dataclass, field
@@ -48,8 +39,8 @@ class WlsqrState:
     is available as initial_residual, and phibar is the latest phibar.  Only
     x, w and rhobar, which the next rotation updates, are stored beside the
     histories.  done is true once the solver has reached the step where the
-    bidiagonalization terminated, which a continued recursion may have
-    passed already (see wlsqr_run).
+    bidiagonalization terminated; the recursion of a continued run (see
+    spr_solve) may already have terminated past step k.
     """
 
     x: np.ndarray
@@ -139,12 +130,10 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     reorthogonalizes fully (see wgkb_step).
 
     max_iter defaults to min(m, n, 200) and is also the step budget that
-    sizes the bases once (see wgkb_init).  _bidiag is private to
-    spr_solve: a recursion of these same a, weight and b, run for this
-    budget, that the solver continues instead of calling wlsqr_init.  Its
-    first steps replay the columns it holds, and the result has the bits of
-    a fresh run at the BLAS thread count they were computed under.  Nothing
-    checks that it fits.
+    sizes the bases once (see wgkb_init).  _bidiag is private to spr_solve,
+    whose docstring states the kept-run contract: a recursion of these same
+    a, weight and b, run for this budget, that the solver continues instead
+    of calling wlsqr_init.  Nothing checks that it fits.
     callback(k, x, residual_norm, solution_m_norm) is invoked after each
     step; a truthy return stops the run.  The x passed to the callback is
     never mutated by later steps.
@@ -168,10 +157,8 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
 
 
 def _terminal_solution(bidiag):
-    """(x_k, ||B_k y_k - beta_1 e_1||_2) at the step k where the recursion
-    terminated: x_k = Q_k y_k with y_k the minimum-norm least-squares
-    solution of B_k y = beta_1 e_1 by the SVD B_k = Y Theta H^T, keeping the
-    values above max(m, n) eps theta_1 (the rank rule of the dense wsvd).
+    """(x_k, ||B_k y_k - beta_1 e_1||_2) at the terminating step k, with y_k
+    from the truncated SVD B_k = Y Theta H^T (see the module docstring).
     Only the k-vector y_k is lifted, so the cost is O(k^3 + n k)."""
     y, theta, ht = np.linalg.svd(project_bidiagonal(bidiag), full_matrices=False)
     rank = _rank(theta, (bidiag.p_buf.shape[0], bidiag.q_buf.shape[0]))

@@ -5,8 +5,8 @@ A weight matrix M defines the inner product <x, y>_M = x^T M y and the norm
 weighted bidiagonalization, the weighted solver) consumes M only through the
 operations exposed here: multiply, solve, inner product, norm, and a
 triangular factor L with M = L^T L, so that ||L x||_2 = ||x||_M exactly.
-M enters through one validated constructor, which every classmethod calls,
-and is kept as one read-only array beside L.
+scipy is imported only for a dense M: importing the package or its command
+line, or solving with a diagonal M, never loads it.
 """
 
 import re
@@ -27,7 +27,9 @@ def _sqrt_dot(x, y=None, factor=1.0):
     overflows, or falls below tiny/eps in magnitude with x and y nonzero, is
     it recomputed from x and y scaled by their largest magnitudes, so every
     in-range value keeps the bits of the plain formula and the factor
-    brings an out-of-range norm back into range."""
+    brings an out-of-range norm back into range.  The recursion's alphas and
+    betas and WeightMatrix.norm all go through it, so scaling A by any
+    constant from 1e-290 to 1e280 leaves every stop index unchanged."""
     with np.errstate(over="ignore"):
         sq = float(x @ (x if y is None else y))
     if _UNDERFLOW <= abs(sq) < np.inf:
@@ -185,8 +187,7 @@ class WeightMatrix:
         return float(x @ self.matvec(y))
 
     def norm(self, x):
-        """||x||_M, by _sqrt_dot: the quadratic form is clamped at zero
-        against roundoff and recomputed in scaled form out of range."""
+        """||x||_M, by _sqrt_dot."""
         x = self._check_dim(x)
         return _sqrt_dot(x, self.matvec(x))
 

@@ -1,4 +1,7 @@
 import csv
+import importlib
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -639,3 +642,64 @@ def test_exit_code_runtime_error(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     capsys.readouterr()
+
+
+# -- the README is a map of the package; these keep it true ---------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def readme_section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def table(section):
+    """The rows of the one markdown table in section, header first, each as
+    its list of cells."""
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    return [r for r in rows if not set(r[0]) <= set("-")]
+
+
+def test_every_readme_command_parses():
+    # nothing is run: each wsvd line of an sh block, continuations joined and
+    # comments dropped, must parse and give a valid configuration
+    lines = [line.split("#")[0].strip()
+             for block in re.findall(r"^```sh\n(.*?)^```", README, re.S | re.M)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("wsvd ")]
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: wsvd {' '.join(argv)}")
+        cli._config_from_args(args)
+    assert {argv[0] for argv in commands} == {
+        "gen", "solve", "sweep", "lcurve", "wsvd", "triplets"}
+
+
+def test_every_name_in_the_readme_map_is_public_in_its_module():
+    rows = table(readme_section("The paper in the code"))[1:]
+    assert {row[1] for row in rows} >= {
+        "`weights`", "`decomposition`", "`bidiag`", "`solver`", "`regularization`"}
+    for _, module, names in rows:
+        module = importlib.import_module(f"wsvd.{module.strip('`')}")
+        names = re.findall(r"`([^`]+)`", names)
+        assert names and not [n for n in names if n.startswith("_")], names
+        assert not [n for n in names if not hasattr(module, n)], (module, names)
+
+
+def test_the_readme_results_are_read_from_the_committed_tables():
+    header, *rows = table(readme_section("Results"))
+    assert [row[0] for row in rows] == ["shaw", "phillips", "expst", "green"]
+    for name, *cells in rows:
+        picks = {(r["method"], r["rule"]): r
+                 for r in read_csv(ROOT / "tables" / f"sweep_{name}.csv")
+                 if (r["epsilon"], r["seed"]) == ("0.001", "0")}
+        for column, cell in zip(header[1:], cells):
+            method, _, rule = column.partition(" ")
+            row = picks[method, rule or "oracle"]
+            want = f"{float(row['rel_err']):.2e}"
+            assert cell == (want if method == "tikh-opt" else f"{row['stop_k']}, {want}")

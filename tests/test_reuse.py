@@ -115,6 +115,24 @@ def test_a_rejected_b_leaves_the_kept_run(shaw_case, references, steps):
     assert steps[0] == 0  # the third call on these inputs replays
 
 
+def test_a_rule_that_raises_after_the_run_leaves_it_kept(steps):
+    # a 3-step history is too short for lc, so the second call raises in
+    # select, after the run that stored the digest
+    problem = build_problem("shaw", 60, 41)
+    noisy = add_noise(problem, 1e-2, 0)
+
+    def run(kind):
+        return spr_solve(problem.a, problem.weight, noisy.b, StoppingRule(kind),
+                         max_iter=3, x_true=problem.x_true)
+
+    want = fresh(run, "maxiter")
+    with pytest.raises(ValueError, match="needs >= 5 points, got 3"):
+        run("lc")
+    steps[0] = 0
+    assert_same_bits(run("maxiter"), want)
+    assert steps[0] == 0  # the third call on these inputs replays
+
+
 def test_lsqr_baseline_replays_with_a_new_identity_weight_each_call(shaw_case, steps):
     problem, noisy, rules = shaw_case
     args = (problem.a, noisy.b, rules["oracle"])
