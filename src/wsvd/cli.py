@@ -9,6 +9,12 @@ Every command runs on the library's single paths: solve, sweep and lcurve
 share one cell (_cell), triplets steps the recursion with wgkb_run, and gen
 and wsvd write their binary files with problems.write_array.
 
+Each subcommand accepts only the options it reads, each declared once in
+OPTIONS: gen takes --problem, --m, --n, --epsilon, --seed and --out; wsvd
+takes --problem, --m, --n and --out; lcurve and triplets take gen's and
+--max-iter; solve and sweep take all ten, though solve --in reads none of
+gen's first five.  Any other option exits 1.
+
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
 
@@ -17,8 +23,6 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -37,88 +41,48 @@ METHODS = ("wlsqr", "lsqr", "tikh-opt", "twsvd")
 SWEEP_EPSILONS = (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
 
 
-@dataclass
-class ExperimentConfig:
-    """Full experiment configuration; round-trips losslessly through text.
-    A max_iter below 1 raises ValueError, so every command rejects it with
-    exit 1 before any work."""
-
-    problem: str = "shaw"
-    m: int | None = None
-    n: int | None = None
-    epsilons: list[float] = field(default_factory=lambda: [1e-3])
-    seeds: list[int] = field(default_factory=lambda: [0])
-    rules: list[str] = field(default_factory=lambda: ["dp"])
-    methods: list[str] = field(default_factory=lambda: ["wlsqr"])
-    tau: float = DEFAULT_TAU
-    max_iter: int | None = None
-    out: str = "."
-
-    def __post_init__(self):
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"--max-iter must be >= 1, got {self.max_iter}")
-
-    def to_text(self):
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, list):
-                v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        """The config of to_text's key=value lines.  Each value is parsed by
-        its field's annotation; a key that names no field (such as the jobs
-        or reorth line of older configs) is skipped."""
-        raw = dict(line.strip().partition("=")[::2] for line in text.splitlines()
-                   if line.strip())
-        return cls(**{f.name: _parse(f.type, raw[f.name])
-                      for f in fields(cls) if f.name in raw})
-
-
-def _parse(kind, text):
-    """text as a value of the annotation kind.  A list[T] is comma-separated
-    and an X | None reads "None" as None."""
-    if get_origin(kind) is list:
-        return [_parse(get_args(kind)[0], x) for x in text.split(",") if x]
-    if type(None) in get_args(kind):
-        return None if text == "None" else _parse(get_args(kind)[0], text)
-    return kind(text)
+# every option, keyed by its dest: (flag, argparse keywords, default).  The
+# list defaults are tuples, so no parse shares a mutable default, and sweep
+# writes these dests, in this order, to its config file.
+OPTIONS = {
+    "problem": ("--problem", {"choices": PROBLEM_NAMES}, "shaw"),
+    "m": ("--m", {"type": int}, None),
+    "n": ("--n", {"type": int}, None),
+    "epsilons": ("--epsilon", {"metavar": "EPSILON", "type": float, "nargs": "+",
+                               "help": "noise level(s) ||e||/||b_exact||"}, (1e-3,)),
+    "seeds": ("--seed", {"metavar": "SEED", "type": int, "nargs": "+"}, (0,)),
+    "rules": ("--rule", {"choices": RULES, "nargs": "+"}, ("dp",)),
+    "methods": ("--method", {"choices": METHODS, "nargs": "+"}, ("wlsqr",)),
+    "tau": ("--tau", {"type": float,
+                      "help": f"discrepancy safety factor (default {DEFAULT_TAU})"},
+            DEFAULT_TAU),
+    "max_iter": ("--max-iter", {"type": int}, None),
+    "out": ("--out", {"help": "output directory (default .)"}, "."),
+}
+# the options of one noisy instance, all that gen reads
+_INSTANCE = ("problem", "m", "n", "epsilons", "seeds", "out")
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    # each dest is an ExperimentConfig field; an option left out is None and
-    # keeps the field's default
-    common.add_argument("--problem", choices=PROBLEM_NAMES)
-    common.add_argument("--m", type=int)
-    common.add_argument("--n", type=int)
-    common.add_argument("--epsilon", dest="epsilons", metavar="EPSILON", type=float,
-                        nargs="+", help="noise level(s) ||e||/||b_exact||")
-    common.add_argument("--seed", dest="seeds", metavar="SEED", type=int, nargs="+")
-    common.add_argument("--rule", dest="rules", choices=RULES, nargs="+")
-    common.add_argument("--tau", type=float,
-                        help=f"discrepancy safety factor (default {DEFAULT_TAU})")
-    common.add_argument("--max-iter", type=int)
-    common.add_argument("--method", dest="methods", choices=METHODS, nargs="+")
-    common.add_argument("--out", help="output directory (default .)")
-
     parser = argparse.ArgumentParser(prog="wsvd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     cmds = {}
-    for name, run, text in (
-            ("gen", cmd_gen, "generate a problem directory"),
-            ("solve", cmd_solve, "run one method and stopping rule"),
-            ("sweep", cmd_sweep, "grid over epsilon x seed x method x rule"),
-            ("lcurve", cmd_lcurve, "L-curve points, curvature, and corner"),
-            ("wsvd", cmd_wsvd, "dump the weighted SVD of a small problem"),
-            ("triplets", cmd_triplets, "approximate weighted singular triplets")):
-        cmds[name] = sub.add_parser(name, parents=[common], help=text)
+    for name, run, dests, text in (
+            ("gen", cmd_gen, _INSTANCE, "generate a problem directory"),
+            ("solve", cmd_solve, OPTIONS, "run one method and stopping rule"),
+            ("sweep", cmd_sweep, OPTIONS, "grid over epsilon x seed x method x rule"),
+            ("lcurve", cmd_lcurve, (*_INSTANCE, "max_iter"),
+             "L-curve points, curvature, and corner"),
+            ("wsvd", cmd_wsvd, ("problem", "m", "n", "out"),
+             "dump the weighted SVD of a small problem"),
+            ("triplets", cmd_triplets, (*_INSTANCE, "max_iter"),
+             "approximate weighted singular triplets")):
+        cmds[name] = sub.add_parser(name, help=text)
         cmds[name].set_defaults(run=run)
+        for dest in dests:
+            flag, kwargs, default = OPTIONS[dest]
+            cmds[name].add_argument(flag, dest=dest, default=default, **kwargs)
+    cmds["sweep"].set_defaults(epsilons=SWEEP_EPSILONS)
     cmds["solve"].add_argument("--in", dest="indir",
                                help="load a generated problem directory instead of "
                                     "building; --problem, --m, --n, --epsilon and --seed "
@@ -131,10 +95,12 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if getattr(args, f.name) is not None}
-    return ExperimentConfig(**given)
+def _text(value):
+    """value as sweep's config file writes it: floats by repr, lists
+    comma-separated."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _single(values, what):
@@ -163,20 +129,20 @@ def _write_csv(path, header, rows):
 
 # -- the cell shared by solve, sweep and lcurve --------------------------------
 
-def _rules(cfg, problem, noisy):
-    """The stopping rules of cfg for one noisy instance, or none when cfg's
+def _rules(args, problem, noisy):
+    """The stopping rules of args for one noisy instance, or none when its
     only method is tikh-opt, which picks its parameter by the error.
     StoppingRule raises ValueError for a rule it cannot apply (a dp with a
     tau that is not finite and > 1 or without noise, an oracle without
     x_true), which exits 1 before any row is written."""
-    if all(method == "tikh-opt" for method in cfg.methods):
+    if all(method == "tikh-opt" for method in args.methods):
         return []
     noise = float(np.linalg.norm(noisy.e))
-    return [StoppingRule(kind, tau=cfg.tau, noise_norm=noise, x_true=problem.x_true)
-            for kind in cfg.rules]
+    return [StoppingRule(kind, tau=args.tau, noise_norm=noise, x_true=problem.x_true)
+            for kind in args.rules]
 
 
-def _cell(method, rules, problem, noisy, cfg, cache):
+def _cell(method, rules, problem, noisy, args, cache):
     """Each (label, stop_k, rel_err, result) of method on one noisy
     instance, one per rule in order.  It is a generator, so a rule that
     raises keeps the rows of the rules before it.
@@ -204,11 +170,11 @@ def _cell(method, rules, problem, noisy, cfg, cache):
         return
     run = rules[0] if len(rules) == 1 else StoppingRule("maxiter")
     if method == "twsvd":
-        history = twsvd_record(cache["fact"], b, x_true, cfg.max_iter)
+        history = twsvd_record(cache["fact"], b, x_true, args.max_iter)
     elif method == "lsqr":
-        history = lsqr_baseline(a, b, run, max_iter=cfg.max_iter, x_true=x_true)[1]
+        history = lsqr_baseline(a, b, run, max_iter=args.max_iter, x_true=x_true)[1]
     else:
-        history = spr_solve(a, problem.weight, b, run, max_iter=cfg.max_iter,
+        history = spr_solve(a, problem.weight, b, run, max_iter=args.max_iter,
                             x_true=x_true)[1]
     for rule in rules:
         record = select(rule, history)
@@ -218,37 +184,37 @@ def _cell(method, rules, problem, noisy, cfg, cache):
 
 # -- subcommands --------------------------------------------------------------
 
-def _instance(cfg, indir=None):
+def _instance(args, indir=None):
     """(problem, noisy) loaded from indir when it is given, else built for
-    cfg's problem and sizes with its one epsilon and seed; noisy carries
+    args' problem and sizes with its one epsilon and seed; noisy carries
     the epsilon and seed either way."""
     if indir is not None:
         return load_problem(indir)
-    problem = build_problem(cfg.problem, cfg.m, cfg.n)
-    return problem, add_noise(problem, _single(cfg.epsilons, "--epsilon"),
-                              _single(cfg.seeds, "--seed"))
+    problem = build_problem(args.problem, args.m, args.n)
+    return problem, add_noise(problem, _single(args.epsilons, "--epsilon"),
+                              _single(args.seeds, "--seed"))
 
 
-def cmd_gen(cfg, args):
-    problem, noisy = _instance(cfg)
-    tag = (f"{cfg.problem}_m{cfg.m or 'def'}_n{cfg.n or 'def'}"
+def cmd_gen(args):
+    problem, noisy = _instance(args)
+    tag = (f"{args.problem}_m{args.m or 'def'}_n{args.n or 'def'}"
            f"_eps{noisy.epsilon:g}_seed{noisy.seed}")
-    path = os.path.join(cfg.out, tag)
+    path = os.path.join(args.out, tag)
     save_problem(path, problem, noisy)
     print(path)
     return 0
 
 
-def cmd_solve(cfg, args):
+def cmd_solve(args):
     """One cell; with --in, the files are named after the directory's stored
     epsilon and seed, so solves of two directories never clash."""
-    method = _single(cfg.methods, "--method")
-    _single(cfg.rules, "--rule")
-    problem, noisy = _instance(cfg, args.indir)
-    rules = _rules(cfg, problem, noisy)
+    method = _single(args.methods, "--method")
+    _single(args.rules, "--rule")
+    problem, noisy = _instance(args, args.indir)
+    rules = _rules(args, problem, noisy)
 
     t0 = time.perf_counter()
-    [(label, stop_k, rel_err, result)] = _cell(method, rules, problem, noisy, cfg, {})
+    [(label, stop_k, rel_err, result)] = _cell(method, rules, problem, noisy, args, {})
     if method == "tikh-opt":
         rows = [("0", _fmt(np.linalg.norm(problem.a @ result - noisy.b)),
                  _fmt(problem.weight.norm(result)), _fmt(rel_err))]
@@ -259,10 +225,10 @@ def cmd_solve(cfg, args):
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     tag = f"{problem.name}_{method}_{label}_eps{noisy.epsilon:g}_seed{noisy.seed}"
-    _write_csv(os.path.join(cfg.out, f"run_{tag}.csv"),
+    _write_csv(os.path.join(args.out, f"run_{tag}.csv"),
                "k,res_norm,sol_mnorm,rel_err", rows)
     summary = f"{problem.name},{label},{method},{stop_k},{_fmt(rel_err)},{wall_ms:.1f}"
-    _write_csv(os.path.join(cfg.out, f"summary_{tag}.csv"),
+    _write_csv(os.path.join(args.out, f"summary_{tag}.csv"),
                "problem,rule,method,stop_k,rel_err,wall_ms", [summary.split(",")])
     print("problem,rule,method,stop_k,rel_err,wall_ms")
     print(summary)
@@ -276,24 +242,23 @@ def _error_status(exc):
     return f"error: {type(exc).__name__}: {msg}" if msg else f"error: {type(exc).__name__}"
 
 
-def cmd_sweep(cfg, args):
+def cmd_sweep(args):
     """Runs each (epsilon, seed, method) cell once, in turn; the epsilons
     default to SWEEP_EPSILONS.  The noise is added once per pair.  The last
     factorization made serves every pair whose b it covers (a dense one
     covers all), so a shaw or expst sweep factors once and a phillips or
     green sweep fails one Krylov attempt, then reuses the dense one.  A
-    failed cell gives one row whose status is _error_status."""
-    if args.epsilons is None:
-        cfg.epsilons = list(SWEEP_EPSILONS)
-    problem = build_problem(cfg.problem, cfg.m, cfg.n)
+    failed cell gives one row whose status is _error_status.  The config
+    file lists every OPTIONS value the sweep ran with."""
+    problem = build_problem(args.problem, args.m, args.n)
     cache = {}
     rows = []
-    for epsilon, seed in itertools.product(cfg.epsilons, cfg.seeds):
+    for epsilon, seed in itertools.product(args.epsilons, args.seeds):
         noisy = add_noise(problem, epsilon, seed)
-        rules = _rules(cfg, problem, noisy)
-        for method in cfg.methods:
+        rules = _rules(args, problem, noisy)
+        for method in args.methods:
             try:
-                for label, k, err, _ in _cell(method, rules, problem, noisy, cfg, cache):
+                for label, k, err, _ in _cell(method, rules, problem, noisy, args, cache):
                     rows.append((epsilon, seed, method, label, k, err, "ok"))
             except Exception as exc:  # noqa: BLE001  a failed cell must not kill the sweep
                 rows.append((epsilon, seed, method, "-", 0, float("nan"), _error_status(exc)))
@@ -303,10 +268,10 @@ def cmd_sweep(cfg, args):
         (problem.name, repr(e), str(s), m, r, str(k), _fmt(err), status)
         for (e, s, m, r, k, err, status) in rows
     ]
-    path = os.path.join(cfg.out, f"sweep_{problem.name}.csv")
+    path = os.path.join(args.out, f"sweep_{problem.name}.csv")
     _write_csv(path, "problem,epsilon,seed,method,rule,stop_k,rel_err,status", text_rows)
-    with open(os.path.join(cfg.out, f"sweep_{problem.name}_config.txt"), "w") as fh:
-        fh.write(cfg.to_text())
+    with open(os.path.join(args.out, f"sweep_{problem.name}_config.txt"), "w") as fh:
+        fh.writelines(f"{dest}={_text(getattr(args, dest))}\n" for dest in OPTIONS)
     print(path)
     return 0
 
@@ -334,7 +299,7 @@ def _points_record(path):
                      stop_index=len(rows), rule="maxiter")
 
 
-def cmd_lcurve(cfg, args):
+def cmd_lcurve(args):
     """The L-curve and the corner select picks, of a wlsqr cell under the lc
     rule or of the RunRecord that --points reads.  Fewer than 5 points, an
     empty file included, exit 1."""
@@ -342,8 +307,8 @@ def cmd_lcurve(cfg, args):
     if args.points is not None:
         record = select(lc, _points_record(args.points))
     else:
-        problem, noisy = _instance(cfg)
-        [(_, _, _, record)] = _cell("wlsqr", [lc], problem, noisy, cfg, {})
+        problem, noisy = _instance(args)
+        [(_, _, _, record)] = _cell("wlsqr", [lc], problem, noisy, args, {})
     # select gives index 0 on an empty history and raises on 1 to 4 points
     if record.ks.size == 0:
         raise ValueError("L-curve selection needs >= 5 points, got 0")
@@ -356,19 +321,19 @@ def cmd_lcurve(cfg, args):
              _fmt(curv_map[k]) if k in curv_map else "nan",
              "true" if k == record.stop_index else "false")
             for k, r, mn in zip(record.ks.tolist(), res, mnorms)]
-    path = os.path.join(cfg.out, "lcurve.csv")
+    path = os.path.join(args.out, "lcurve.csv")
     _write_csv(path, "k,log_res,log_mnorm,curvature,is_corner", rows)
     print(path)
     return 0
 
 
-def cmd_wsvd(cfg, args):
+def cmd_wsvd(args):
     # factorization dumps default to a small instance
-    m = cfg.m if cfg.m is not None else 120
-    n = cfg.n if cfg.n is not None else 101
-    problem = build_problem(cfg.problem, m, n)
+    m = args.m if args.m is not None else 120
+    n = args.n if args.n is not None else 101
+    problem = build_problem(args.problem, m, n)
     fact = wsvd(problem.a, problem.weight)
-    outdir = os.path.join(cfg.out, f"wsvd_{problem.name}_m{m}_n{n}")
+    outdir = os.path.join(args.out, f"wsvd_{problem.name}_m{m}_n{n}")
     os.makedirs(outdir, exist_ok=True)
     for fname, mat in (("U", fact.u), ("V", fact.v)):
         write_array(os.path.join(outdir, fname), mat, shape_header=True)
@@ -381,16 +346,16 @@ def cmd_wsvd(cfg, args):
     return 0
 
 
-def cmd_triplets(cfg, args):
+def cmd_triplets(args):
     """approx_triplets of a wgkb_run of --max-iter steps (default 30).
     --count below 1, or a --triplet-tol that is not finite and >= 0, exits 1
     with nothing written."""
-    steps = cfg.max_iter if cfg.max_iter is not None else 30
+    steps = args.max_iter if args.max_iter is not None else 30
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if not 0 <= args.triplet_tol < np.inf:
         raise ValueError(f"--triplet-tol must be finite and >= 0, got {args.triplet_tol}")
-    problem, noisy = _instance(cfg)
+    problem, noisy = _instance(args)
     state = wgkb_run(problem.a, problem.weight, noisy.b, steps)
     if state.k == 0:
         raise ValueError("recursion terminated before producing any triplets")
@@ -399,7 +364,7 @@ def cmd_triplets(cfg, args):
     rows = [(str(i + 1), _fmt(t.sigma_bar), _fmt(t.residual_bound),
              "true" if t.residual_bound <= tol else "false")
             for i, t in enumerate(trips)]
-    path = os.path.join(cfg.out, f"triplets_{problem.name}.csv")
+    path = os.path.join(args.out, f"triplets_{problem.name}.csv")
     _write_csv(path, "i,sigma_bar,residual_bound,accepted", rows)
     print(path)
     return 0
@@ -411,8 +376,15 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        return args.run(_config_from_args(args), args)
-    except ValueError as exc:  # the config, StoppingRule, build_problem and the checks here
+        # the checks argparse cannot make, before any work
+        if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
+            raise ValueError(f"--max-iter must be >= 1, got {args.max_iter}")
+        for dest, (flag, kwargs, _) in OPTIONS.items():
+            values = getattr(args, dest, ()) if "nargs" in kwargs else ()
+            if len(set(values)) < len(values):
+                raise ValueError(f"{flag} repeats a value, got {list(values)}")
+        return args.run(args)
+    except ValueError as exc:  # the checks above, StoppingRule, build_problem and the cmd_*
         print(f"wsvd: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  runtime failure -> exit 2

@@ -324,18 +324,23 @@ def save_problem(dirpath, problem, noisy):
 def load_problem(dirpath):
     """Read back a directory written by save_problem; returns
     (TestProblem, NoisyData).  The weights come from M.diag; a meta key not
-    read here, which an older directory may carry, is ignored.  A is read
+    read here, which an older directory may carry, is ignored, and a missing
+    one raises ValueError naming the meta file and the key.  A is read
     straight into its array, so it is held once."""
     meta = {}
-    with open(os.path.join(dirpath, "meta")) as fh:
+    meta_path = os.path.join(dirpath, "meta")
+    with open(meta_path) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 key, _, value = line.partition("=")
                 meta[key] = value
-    name = meta["name"]
-    m, n = int(meta["m"]), int(meta["n"])
-    t1, t2 = float(meta["t1"]), float(meta["t2"])
+    try:
+        name, m, n = meta["name"], int(meta["m"]), int(meta["n"])
+        t1, t2 = float(meta["t1"]), float(meta["t2"])
+        epsilon, seed = float(meta["epsilon"]), int(meta["seed"])
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: no {exc.args[0]!r} key") from None
 
     def get(fname, count, header=None):
         # fromfile reads straight into the result, so A is held only once
@@ -362,7 +367,7 @@ def load_problem(dirpath):
     noisy = NoisyData(
         b=get("b", m),
         e=get("e", m),
-        epsilon=float(meta["epsilon"]),
-        seed=int(meta["seed"]),
+        epsilon=epsilon,
+        seed=seed,
     )
     return problem, noisy

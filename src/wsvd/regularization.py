@@ -19,7 +19,7 @@ import numpy as np
 
 from .bidiag import _checked_matrix, _checked_vector
 from .decomposition import _coefficients, tikhonov_wsvd
-from .solver import wlsqr_iterate, wlsqr_run
+from .solver import DEFAULT_MAX_ITER, wlsqr_iterate, wlsqr_run
 from .weights import WeightMatrix
 
 RULES = ("dp", "lc", "oracle", "maxiter")
@@ -248,6 +248,8 @@ def select(rule, record):
 def twsvd_record(fact, b, x_true=None, max_iter=None):
     """History of the truncated WSVD expansions x_k = sum_{i<=k} (u_i^T b /
     sigma_i) v_i for k = 1 .. min(rank, max_iter), with the maxiter index.
+    max_iter defaults to DEFAULT_MAX_ITER, wlsqr_run's budget, so the lc
+    corner is not sought far into the noise of a full-rank history.
 
     The residual norm of x_k is the norm of b outside span(u_1 .. u_rank)
     together with the tail sum of (u_i^T b)^2 over k < i <= rank, so no
@@ -261,7 +263,7 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if x_true is not None:
         x_true, nx = _checked_x_true(x_true, fact.v.shape[0])
-    kmax = fact.rank if max_iter is None else min(fact.rank, max_iter)
+    kmax = min(fact.rank, DEFAULT_MAX_ITER if max_iter is None else max_iter)
     ub = _coefficients(fact, b)  # checks b before any use
     outside = b - fact.u[:, :fact.rank] @ ub
     tail = np.cumsum((ub**2)[::-1])[::-1]  # tail[j] = sum of ub[i]**2 over i >= j

@@ -10,7 +10,7 @@ import pytest
 from wsvd import (StoppingRule, add_noise, build_problem, cli, decomposition,
                   load_problem, spr_solve, stop_dp, stop_lcurve, stop_oracle,
                   tikhonov_opt, twsvd_solution)
-from wsvd.cli import ExperimentConfig, _error_status, main
+from wsvd.cli import _error_status, main
 
 
 def read_csv(path):
@@ -19,35 +19,6 @@ def read_csv(path):
 
 
 SMALL = ["--m", "120", "--n", "101"]
-
-
-def test_config_round_trip():
-    cfg = ExperimentConfig(problem="green", m=77, n=None,
-                           epsilons=[3.2e-2, 1e-3], seeds=[0, 4],
-                           rules=["dp", "lc"], methods=["wlsqr", "twsvd"],
-                           tau=1.05, max_iter=44, out="somewhere")
-    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
-
-
-def test_config_with_a_jobs_line_still_loads():
-    # configs written while the sweep had a --jobs option carry a jobs line,
-    # and those written while the CLI had --reorth or --paper-h a reorth or
-    # paper_h line; an unknown key is skipped, so they load as the same
-    # config without it
-    text = ("problem=phillips\nm=None\nn=None\nepsilons=0.032,0.001\nseeds=0\n"
-            "rules=dp,lc,oracle\nmethods=wlsqr,lsqr\ntau=1.01\nmax_iter=100\n"
-            "reorth=True\npaper_h=True\njobs=4\nout=results\n")
-    old = ExperimentConfig.from_text(text)
-    assert old == ExperimentConfig.from_text(text.replace("jobs=4\n", ""))
-    assert old == ExperimentConfig(problem="phillips", epsilons=[0.032, 0.001],
-                                   rules=["dp", "lc", "oracle"],
-                                   methods=["wlsqr", "lsqr"], max_iter=100,
-                                   out="results")
-
-
-def test_config_round_trip_defaults():
-    cfg = ExperimentConfig()
-    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_gen_writes_loadable_problem(tmp_path, capsys):
@@ -361,7 +332,51 @@ def test_a_max_iter_below_one_exits_1_before_any_work(tmp_path, capsys, monkeypa
     out = tmp_path / "out"
     assert main([command, "--problem", "shaw", "--m", "60", "--n", "41",
                  "--max-iter", value, "--out", str(out)]) == 1
-    assert f"--max-iter must be >= 1, got {value}" in capsys.readouterr().err
+    # gen and wsvd read no --max-iter, so the parser refuses it
+    want = (f"unrecognized arguments: --max-iter {value}" if command in ("gen", "wsvd")
+            else f"--max-iter must be >= 1, got {value}")
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the common options each command does not read; VALUES gives each a valid value
+IGNORED = [(command, option)
+           for command, options in (("gen", ["--rule", "--tau", "--max-iter", "--method"]),
+                                    ("wsvd", ["--epsilon", "--seed", "--rule", "--tau",
+                                              "--max-iter", "--method"]),
+                                    ("lcurve", ["--rule", "--tau", "--method"]),
+                                    ("triplets", ["--rule", "--tau", "--method"]))
+           for option in options]
+VALUES = {"--epsilon": "1e-2", "--seed": "3", "--rule": "oracle", "--tau": "2",
+          "--max-iter": "5", "--method": "lsqr"}
+
+
+@pytest.mark.parametrize("command, option", IGNORED, ids=[" ".join(p) for p in IGNORED])
+def test_an_option_the_command_does_not_read_exits_1(tmp_path, capsys, monkeypatch,
+                                                      command, option):
+    assert len(IGNORED) == 16
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    out = tmp_path / "out"
+    assert main([command, "--problem", "shaw", "--m", "60", "--n", "41",
+                 option, VALUES[option], "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {option} {VALUES[option]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, values", [("--epsilon", ["1e-2", "0.01"]),
+                                            ("--seed", ["0", "1", "0"]),
+                                            ("--method", ["wlsqr", "wlsqr"]),
+                                            ("--rule", ["dp", "lc", "dp"])],
+                         ids=["epsilon", "seed", "method", "rule"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_repeated_value_in_a_list_option_exits_1(tmp_path, capsys, monkeypatch,
+                                                   command, option, values):
+    # a repeat would only write the same rows again
+    monkeypatch.setattr(cli, "build_problem", None)  # any work would raise TypeError
+    out = tmp_path / "out"
+    assert main([command, "--problem", "shaw", "--m", "60", "--n", "41",
+                 option, *values, "--out", str(out)]) == 1
+    assert f"{option} repeats a value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -397,10 +412,19 @@ def test_sweep_config_round_trip_on_disk(tmp_path, capsys):
           "--epsilon", "1e-2", "--seed", "0", "--method", "wlsqr",
           "--rule", "oracle", "--out", str(tmp_path)])
     capsys.readouterr()
-    text = (tmp_path / "sweep_green_config.txt").read_text()
-    cfg = ExperimentConfig.from_text(text)
-    assert cfg.problem == "green"
-    assert cfg.to_text() == text
+    assert (tmp_path / "sweep_green_config.txt").read_text() == (
+        "problem=green\nm=60\nn=51\nepsilons=0.01\nseeds=0\nrules=oracle\n"
+        f"methods=wlsqr\ntau=1.01\nmax_iter=None\nout={tmp_path}\n")
+
+
+def test_a_default_sweep_config_lists_the_six_levels(tmp_path, capsys):
+    assert main(["sweep", "--problem", "shaw", "--m", "40", "--n", "31", "--seed", "0", "1",
+                 "--method", "tikh-opt", "--rule", "dp", "lc", "--max-iter", "9",
+                 "--tau", "1.5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sweep_shaw_config.txt").read_text() == (
+        "problem=shaw\nm=40\nn=31\nepsilons=0.032,0.016,0.008,0.004,0.002,0.001\n"
+        f"seeds=0,1\nrules=dp,lc\nmethods=tikh-opt\ntau=1.5\nmax_iter=9\nout={tmp_path}\n")
 
 
 def test_lcurve_corner_contract(tmp_path, capsys):
@@ -637,6 +661,17 @@ def test_paper_h_option_is_gone(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_solve_in_a_directory_whose_meta_lacks_a_key_exits_1(tmp_path, capsys):
+    main(["gen", "--problem", "shaw", "--m", "40", "--n", "31", "--epsilon", "1e-2",
+          "--out", str(tmp_path)])
+    meta = Path(capsys.readouterr().out.strip(), "meta")
+    meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                            if not line.startswith("m=")))
+    assert main(["solve", "--in", str(meta.parent), "--out", str(tmp_path / "out")]) == 1
+    assert f"invalid configuration: {meta}: no 'm' key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     rc = main(["solve", "--in", str(tmp_path / "missing_dir"),
                "--out", str(tmp_path)])
@@ -664,7 +699,7 @@ def table(section):
 
 def test_every_readme_command_parses():
     # nothing is run: each wsvd line of an sh block, continuations joined and
-    # comments dropped, must parse and give a valid configuration
+    # comments dropped, must parse, so it names only options its command reads
     lines = [line.split("#")[0].strip()
              for block in re.findall(r"^```sh\n(.*?)^```", README, re.S | re.M)
              for line in block.replace("\\\n", " ").splitlines()]
@@ -675,7 +710,7 @@ def test_every_readme_command_parses():
             args = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: wsvd {' '.join(argv)}")
-        cli._config_from_args(args)
+        assert args.run.__name__ == f"cmd_{argv[0]}"
     assert {argv[0] for argv in commands} == {
         "gen", "solve", "sweep", "lcurve", "wsvd", "triplets"}
 

@@ -8,6 +8,7 @@ from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem,
                   stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
                   tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_iterate,
                   wlsqr_run, wsvd)
+from wsvd.solver import DEFAULT_MAX_ITER
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +363,20 @@ def test_twsvd_record_residuals_match_the_true_residuals(name):
             for k in rec.ks]
     assert len(rec.ks) >= 20 and np.all(rec.residual_norms > 0)
     assert np.allclose(rec.residual_norms, true, rtol=1e-5, atol=0)
+
+
+def test_a_twsvd_history_takes_the_solvers_default_budget():
+    # as wlsqr_run does, so an lc corner is not sought among the full rank's
+    # noise-dominated expansions; the entries it keeps keep their bits
+    problem = build_problem("phillips", 240, 221)
+    b = add_noise(problem, 1e-3, 0).b
+    fact = wsvd(problem.a, problem.weight)
+    assert fact.rank == 221 and DEFAULT_MAX_ITER == 200
+    rec = twsvd_record(fact, b, problem.x_true)
+    full = twsvd_record(fact, b, problem.x_true, max_iter=fact.rank)
+    assert (len(rec.ks), rec.stop_index, len(full.ks)) == (200, 200, 221)
+    for name in ("residual_norms", "solution_m_norms", "rel_errors"):
+        assert np.array_equal(getattr(rec, name), getattr(full, name)[:200]), name
 
 
 @pytest.fixture(scope="module")
