@@ -12,8 +12,9 @@ and wsvd write their binary files with problems.write_array.
 Each subcommand accepts only the options it reads, each declared once in
 OPTIONS: gen takes --problem, --m, --n, --epsilon, --seed and --out; wsvd
 takes --problem, --m, --n and --out; lcurve and triplets take gen's and
---max-iter; solve and sweep take all ten, though solve --in reads none of
-gen's first five.  Any other option exits 1.
+--max-iter; solve and sweep take all ten.  solve --in reads its instance
+from the directory alone, so --in with any of gen's first five exits 1.
+Any other option exits 1.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
@@ -59,8 +60,8 @@ OPTIONS = {
     "max_iter": ("--max-iter", {"type": int}, None),
     "out": ("--out", {"help": "output directory (default .)"}, "."),
 }
-# the options of one noisy instance, all that gen reads
-_INSTANCE = ("problem", "m", "n", "epsilons", "seeds", "out")
+# the options of one noisy instance, all that gen reads but --out
+_INSTANCE = ("problem", "m", "n", "epsilons", "seeds")
 
 
 def _build_parser():
@@ -68,14 +69,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     cmds = {}
     for name, run, dests, text in (
-            ("gen", cmd_gen, _INSTANCE, "generate a problem directory"),
+            ("gen", cmd_gen, (*_INSTANCE, "out"), "generate a problem directory"),
             ("solve", cmd_solve, OPTIONS, "run one method and stopping rule"),
             ("sweep", cmd_sweep, OPTIONS, "grid over epsilon x seed x method x rule"),
-            ("lcurve", cmd_lcurve, (*_INSTANCE, "max_iter"),
+            ("lcurve", cmd_lcurve, (*_INSTANCE, "out", "max_iter"),
              "L-curve points, curvature, and corner"),
             ("wsvd", cmd_wsvd, ("problem", "m", "n", "out"),
              "dump the weighted SVD of a small problem"),
-            ("triplets", cmd_triplets, (*_INSTANCE, "max_iter"),
+            ("triplets", cmd_triplets, (*_INSTANCE, "out", "max_iter"),
              "approximate weighted singular triplets")):
         cmds[name] = sub.add_parser(name, help=text)
         cmds[name].set_defaults(run=run)
@@ -83,10 +84,13 @@ def _build_parser():
             flag, kwargs, default = OPTIONS[dest]
             cmds[name].add_argument(flag, dest=dest, default=default, **kwargs)
     cmds["sweep"].set_defaults(epsilons=SWEEP_EPSILONS)
+    # None marks an instance option solve was not given, which --in refuses;
+    # cmd_solve puts the OPTIONS default in its place
+    cmds["solve"].set_defaults(**dict.fromkeys(_INSTANCE))
     cmds["solve"].add_argument("--in", dest="indir",
                                help="load a generated problem directory instead of "
-                                    "building; --problem, --m, --n, --epsilon and --seed "
-                                    "are then not read")
+                                    "building; --problem, --m, --n, --epsilon or --seed "
+                                    "given with it exits 1")
     cmds["lcurve"].add_argument("--points",
                                 help="CSV of k,res_norm,sol_mnorm to analyze instead of running")
     cmds["triplets"].add_argument("--count", type=int, default=6)
@@ -184,12 +188,9 @@ def _cell(method, rules, problem, noisy, args, cache):
 
 # -- subcommands --------------------------------------------------------------
 
-def _instance(args, indir=None):
-    """(problem, noisy) loaded from indir when it is given, else built for
-    args' problem and sizes with its one epsilon and seed; noisy carries
-    the epsilon and seed either way."""
-    if indir is not None:
-        return load_problem(indir)
+def _instance(args):
+    """(problem, noisy) built for args' problem and sizes with its one
+    epsilon and seed, which noisy carries."""
     problem = build_problem(args.problem, args.m, args.n)
     return problem, add_noise(problem, _single(args.epsilons, "--epsilon"),
                               _single(args.seeds, "--seed"))
@@ -206,11 +207,18 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    """One cell; with --in, the files are named after the directory's stored
-    epsilon and seed, so solves of two directories never clash."""
+    """One cell.  With --in, the instance is the directory's alone: any of
+    --problem, --m, --n, --epsilon and --seed given with it exits 1, and
+    the files are named after its stored epsilon and seed, so solves of
+    two directories never clash."""
     method = _single(args.methods, "--method")
     _single(args.rules, "--rule")
-    problem, noisy = _instance(args, args.indir)
+    given = [dest for dest in _INSTANCE if getattr(args, dest) is not None]
+    if args.indir is not None and given:
+        raise ValueError("--in reads the instance from its directory; drop "
+                         + ", ".join(OPTIONS[dest][0] for dest in given))
+    vars(args).update({dest: OPTIONS[dest][2] for dest in _INSTANCE if dest not in given})
+    problem, noisy = load_problem(args.indir) if args.indir is not None else _instance(args)
     rules = _rules(args, problem, noisy)
 
     t0 = time.perf_counter()
@@ -279,22 +287,28 @@ def cmd_sweep(args):
 def _points_record(path):
     """The RunRecord of a CSV of k,res_norm,sol_mnorm rows (a header or blank
     line is skipped; further columns are ignored).  Every row must have the
-    three columns and the k column must run 1..N, as RunRecord.ks does;
-    ValueError names the first row where either fails."""
+    three columns, each of which must parse, and the k column must run
+    1..N, as RunRecord.ks does; ValueError names the first row where any of
+    this fails."""
     with open(path) as fh:
         rows = [line.split(",") for line in map(str.strip, fh)
                 if line and not line.startswith("k,")]
+    parsed = []
     for i, r in enumerate(rows, 1):
         if len(r) < 3:
             raise ValueError(f"{path}: data row {i} has {len(r)} column(s); "
                              "expected k,res_norm,sol_mnorm")
-    ks = np.array([int(r[0]) for r in rows], dtype=int)
+        try:
+            parsed.append((int(r[0]), float(r[1]), float(r[2])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {i}: {exc}") from None
+    ks = np.array([r[0] for r in parsed], dtype=int)
     bad = np.flatnonzero(ks != np.arange(1, ks.size + 1))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} has k = {ks[bad[0]]}; "
                          f"the k column must run 1..{ks.size}")
-    return RunRecord(residual_norms=np.array([float(r[1]) for r in rows]),
-                     solution_m_norms=np.array([float(r[2]) for r in rows]),
+    return RunRecord(residual_norms=np.array([r[1] for r in parsed]),
+                     solution_m_norms=np.array([r[2] for r in parsed]),
                      rel_errors=None, initial_residual=float("nan"),
                      stop_index=len(rows), rule="maxiter")
 
@@ -380,8 +394,8 @@ def main(argv=None):
         if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
             raise ValueError(f"--max-iter must be >= 1, got {args.max_iter}")
         for dest, (flag, kwargs, _) in OPTIONS.items():
-            values = getattr(args, dest, ()) if "nargs" in kwargs else ()
-            if len(set(values)) < len(values):
+            values = getattr(args, dest, None) if "nargs" in kwargs else None
+            if values and len(set(values)) < len(values):
                 raise ValueError(f"{flag} repeats a value, got {list(values)}")
         return args.run(args)
     except ValueError as exc:  # the checks above, StoppingRule, build_problem and the cmd_*

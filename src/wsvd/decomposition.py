@@ -35,6 +35,7 @@ k-term expansion agrees to about eps * sigma_1 / sigma_k relative.  A
 dense factorization covers every b.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,16 @@ def _fix_signs(u, v, coupled):
     for x, flip in zip((u, v), flips):
         np.negative(x, out=x, where=flip)
     return u, v
+
+
+def _pow2_scale(x):
+    """A power of two c that brings the largest of the entries of x (all
+    >= 0) within 2^+-400, so that squares and sums of squares of c-scaled
+    values neither overflow nor underflow.  It is 1.0 when that entry lies
+    there already, as at any natural scale, so those values keep their
+    bits; an empty or zero x gives 1.0 too."""
+    e = int(np.frexp(np.max(x, initial=0.0))[1])
+    return 1.0 if abs(e) <= 400 else math.ldexp(1.0, -max(e, -1000))
 
 
 def _rank(s, shape):
@@ -230,14 +241,17 @@ def tikhonov_wsvd(fact, b, lam):
     """Tikhonov-regularized solution with filter factors sigma^2/(sigma^2+lam).
 
     Solves (A^T A + lam M) x = A^T b through the factorization; lam = 0
-    reduces to the minimum-M-norm least squares solution.  Raises
-    ValueError for a lam that is not finite and >= 0 and for a b that
-    _checked_vector rejects, as min_m_norm_ls does.
+    reduces to the minimum-M-norm least squares solution.  The filter is
+    formed from sigma and lam scaled by _pow2_scale(sigma) and its square,
+    so it holds for any sigma_1 a double holds, 2^-700 and 2^700 included.
+    Raises ValueError for a lam that is not finite and >= 0 and for a b
+    that _checked_vector rejects, as min_m_norm_ls does.
     """
     if not 0 <= lam < np.inf:
         raise ValueError(f"regularization parameter must be finite and >= 0, got {lam}")
     r = fact.rank
-    sig = fact.sigma
-    filt = sig**2 / (sig**2 + lam)
-    coef = (_coefficients(fact, b) / sig) * filt
+    c = _pow2_scale(fact.sigma)
+    sig = fact.sigma * c
+    filt = sig**2 / (sig**2 + float(lam) * c * c)
+    coef = (_coefficients(fact, b) / fact.sigma) * filt
     return fact.v[:, :r] @ coef

@@ -325,8 +325,9 @@ def load_problem(dirpath):
     """Read back a directory written by save_problem; returns
     (TestProblem, NoisyData).  The weights come from M.diag; a meta key not
     read here, which an older directory may carry, is ignored, and a missing
-    one raises ValueError naming the meta file and the key.  A is read
-    straight into its array, so it is held once."""
+    one, or a value that does not parse, raises ValueError naming the meta
+    file and the key.  A is read straight into its array, so it is held
+    once."""
     meta = {}
     meta_path = os.path.join(dirpath, "meta")
     with open(meta_path) as fh:
@@ -335,12 +336,18 @@ def load_problem(dirpath):
             if line:
                 key, _, value = line.partition("=")
                 meta[key] = value
-    try:
-        name, m, n = meta["name"], int(meta["m"]), int(meta["n"])
-        t1, t2 = float(meta["t1"]), float(meta["t2"])
-        epsilon, seed = float(meta["epsilon"]), int(meta["seed"])
-    except KeyError as exc:
-        raise ValueError(f"{meta_path}: no {exc.args[0]!r} key") from None
+
+    def field(key, kind):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: no {key!r} key")
+        try:
+            return kind(meta[key])
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: key {key!r}: {exc}") from None
+
+    name, m, n = field("name", str), field("m", int), field("n", int)
+    t1, t2 = field("t1", float), field("t2", float)
+    epsilon, seed = field("epsilon", float), field("seed", int)
 
     def get(fname, count, header=None):
         # fromfile reads straight into the result, so A is held only once

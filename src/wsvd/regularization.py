@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bidiag import _checked_matrix, _checked_vector
-from .decomposition import _coefficients, tikhonov_wsvd
+from .decomposition import _coefficients, _pow2_scale, tikhonov_wsvd
 from .solver import DEFAULT_MAX_ITER, wlsqr_iterate, wlsqr_run
-from .weights import WeightMatrix
+from .weights import WeightMatrix, _sqrt_dot
 
 RULES = ("dp", "lc", "oracle", "maxiter")
 
@@ -36,12 +36,24 @@ _kept = None
 _kept_lock = threading.Lock()
 
 
+def _dp_threshold(tau, noise_norm):
+    """tau * noise_norm, the discrepancy threshold.  The one dp check, made
+    by StoppingRule, stop_dp and spr_solve alike: ValueError unless
+    noise_norm is positive and finite and tau is finite and > 1."""
+    if noise_norm is None or not 0 < noise_norm < np.inf:
+        raise ValueError(f"dp rule needs a positive finite noise_norm, got {noise_norm}")
+    if not 1 < tau < np.inf:
+        raise ValueError(f"dp safety factor tau must be finite and > 1, got {tau}")
+    return tau * noise_norm
+
+
 @dataclass
 class StoppingRule:
     """Stopping rule selector, validated at construction: a dp rule needs a
-    tau that is finite and > 1 and a noise_norm that is finite and > 0, an
-    oracle rule needs x_true, and ValueError is raised otherwise (so `wsvd
-    solve --tau nan` exits 1)."""
+    tau that is finite and > 1 and a noise_norm that is finite and > 0 (the
+    check _dp_threshold makes for stop_dp and spr_solve too), an oracle
+    rule needs x_true, and ValueError is raised otherwise (so `wsvd solve
+    --tau nan` exits 1)."""
 
     kind: str
     tau: float = DEFAULT_TAU
@@ -52,12 +64,7 @@ class StoppingRule:
         if self.kind not in RULES:
             raise ValueError(f"unknown stopping rule {self.kind!r}; choose from {RULES}")
         if self.kind == "dp":
-            if self.noise_norm is None or not 0 < self.noise_norm < np.inf:
-                raise ValueError(
-                    f"dp rule needs a positive finite noise_norm, got {self.noise_norm}")
-            if not 1 < self.tau < np.inf:
-                raise ValueError(
-                    f"dp safety factor tau must be finite and > 1, got {self.tau}")
+            _dp_threshold(self.tau, self.noise_norm)
         if self.kind == "oracle" and self.x_true is None:
             raise ValueError("oracle rule needs x_true")
 
@@ -107,13 +114,10 @@ def stop_dp(residual_norms, tau, noise_norm):
     satisfied.  A threshold already met at x_0 returns k = 1 with the
     degenerate flag set.  Only the leading run of finite entries is scanned,
     as in lcurve_points: nothing after a NaN or inf is trusted, so a crossing
-    there returns (None, False).
+    there returns (None, False).  tau and noise_norm are checked as
+    StoppingRule checks them, by _dp_threshold.
     """
-    if not 1 < tau < np.inf:
-        raise ValueError(f"tau must be finite and > 1, got {tau}")
-    if not 0 < noise_norm < np.inf:
-        raise ValueError(f"noise_norm must be positive and finite, got {noise_norm}")
-    thr = tau * noise_norm
+    thr = _dp_threshold(tau, noise_norm)
     seq = np.asarray(residual_norms, dtype=float)
     if seq.size == 0:
         raise ValueError("empty residual history")
@@ -253,11 +257,14 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
 
     The residual norm of x_k is the norm of b outside span(u_1 .. u_rank)
     together with the tail sum of (u_i^T b)^2 over k < i <= rank, so no
-    difference of nearly equal squares is taken.  M-norms come from the
-    coefficients, and rel_errors (when x_true is given) from the iterates
-    themselves.  Raises ValueError for a max_iter below 1, for an x_true
-    that _checked_x_true rejects and for a b that _coefficients rejects (a
-    shape other than (m,), or non-finite entries).
+    difference of nearly equal squares is taken.  Those squares are of the
+    parts of b scaled by _pow2_scale(||b||_2), which is 1 while ||b||_2 lies
+    within 2^+-400, so the residuals hold for any ||b||_2 a double holds,
+    2^-700 and 2^700 included.  M-norms come from the coefficients, and
+    rel_errors (when x_true is given) from the iterates themselves.  Raises
+    ValueError for a max_iter below 1, for an x_true that _checked_x_true
+    rejects and for a b that _coefficients rejects (a shape other than
+    (m,), or non-finite entries).
     """
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -265,9 +272,11 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
         x_true, nx = _checked_x_true(x_true, fact.v.shape[0])
     kmax = min(fact.rank, DEFAULT_MAX_ITER if max_iter is None else max_iter)
     ub = _coefficients(fact, b)  # checks b before any use
-    outside = b - fact.u[:, :fact.rank] @ ub
-    tail = np.cumsum((ub**2)[::-1])[::-1]  # tail[j] = sum of ub[i]**2 over i >= j
-    res = np.sqrt(outside @ outside + np.append(tail[1:], 0.0)[:kmax])
+    b_norm = _sqrt_dot(np.ascontiguousarray(b, dtype=float))  # np.linalg.norm's bits
+    c = _pow2_scale(b_norm)  # the squares below are of c-scaled parts of b
+    outside = (b - fact.u[:, :fact.rank] @ ub) * c
+    tail = np.cumsum(((ub * c)**2)[::-1])[::-1]  # tail[j] = sum of (c ub[i])**2 over i >= j
+    res = np.sqrt(outside @ outside + np.append(tail[1:], 0.0)[:kmax]) / c
     coef = ub[:kmax] / fact.sigma[:kmax]
     mnorms = np.sqrt(np.cumsum(coef**2))
     errs = None
@@ -279,7 +288,7 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
             errs[k] = np.linalg.norm(x - x_true) / nx
     return RunRecord(residual_norms=res,
                      solution_m_norms=mnorms, rel_errors=errs,
-                     initial_residual=float(np.linalg.norm(b)), stop_index=kmax,
+                     initial_residual=b_norm, stop_index=kmax,
                      rule="maxiter")
 
 
@@ -296,14 +305,10 @@ def _checked_x_true(x_true, n):
 
 def _crc32(arr, crc=0):
     """crc32 of arr's entries in memory order, continuing crc.  A contiguous
-    array is read in place; a strided view is copied one row at a time."""
+    array is read in place; a strided view is copied once."""
     if arr.flags.f_contiguous:
         arr = arr.T
-    if arr.flags.c_contiguous:
-        return zlib.crc32(arr, crc)
-    for row in np.atleast_2d(arr):
-        crc = zlib.crc32(np.ascontiguousarray(row), crc)
-    return crc
+    return zlib.crc32(np.ascontiguousarray(arr), crc)
 
 
 def _digest(a, weight):
@@ -331,7 +336,8 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     Returns (x, RunRecord).  x_true (defaulting to rule.x_true) enables the
     rel_errors history; it must have shape (n,), finite entries and a
     nonzero norm, else ValueError before any work.  The dp rule stops the
-    iteration eagerly at the first crossing; the other rules run to
+    iteration eagerly at the first crossing of the threshold _dp_threshold
+    forms, with the check StoppingRule made; the other rules run to
     max_iter, and select picks the index from the history.  An earlier
     selected iterate comes from wlsqr_iterate, so no iterate is stored, the
     solver runs once, and x is the iterate whose rel_errors entry the record
@@ -374,7 +380,7 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     bidiag, digest = _take_kept(key, a, weight)
 
     errs = [] if x_true is not None else None
-    thr = rule.tau * rule.noise_norm if rule.kind == "dp" else None
+    thr = _dp_threshold(rule.tau, rule.noise_norm) if rule.kind == "dp" else None
 
     def cb(k, x, res, mnorm):
         if errs is not None:
@@ -415,14 +421,20 @@ def tikhonov_opt(fact, b, x_true):
 
     Minimizes ||x_lam - x_true||_2 / ||x_true||_2 over log lam in
     [log(1e-16 sigma_1^2), log(sigma_1^2)], refined to 1e-3 relative in lam.
-    Returns (lam, x_lam).  Raises ValueError for a rank-0 factorization,
-    for an x_true that _checked_x_true rejects and, at the first solution,
-    for a b that tikhonov_wsvd rejects (a shape other than (m,), or
-    non-finite entries).
+    Returns (lam, x_lam).  When sigma_1 lies outside 2^+-400 the search runs
+    on sigma and b scaled by _pow2_scale(sigma), so x_lam holds for any
+    sigma_1 a double holds, 2^-700 and 2^700 included; lam scales like
+    sigma_1^2, though, so there it may underflow to 0 or overflow to inf.
+    Raises ValueError for a rank-0 factorization, for an x_true that
+    _checked_x_true rejects and, at the first solution, for a b that
+    tikhonov_wsvd rejects (a shape other than (m,), or non-finite entries).
     """
     if fact.rank == 0:
         raise ValueError("factorization has rank 0")
     x_true, nx = _checked_x_true(x_true, fact.v.shape[0])
+    scale = _pow2_scale(fact.sigma)
+    if scale != 1.0:  # search with sigma and b scaled, where lam is scale^2 times larger
+        fact, b = replace(fact, sigma=fact.sigma * scale), np.multiply(b, scale)
     s1sq = fact.sigma[0] ** 2
 
     def err(t):
@@ -444,4 +456,4 @@ def tikhonov_opt(fact, b, x_true):
             fd = err(d)
     t = c if fc < fd else d
     lam = float(np.exp(t))
-    return lam, tikhonov_wsvd(fact, b, lam)
+    return lam / scale / scale, tikhonov_wsvd(fact, b, lam)

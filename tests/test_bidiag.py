@@ -150,6 +150,14 @@ def test_projection_partial_k():
     assert np.array_equal(b3, project_bidiagonal(state)[:4, :3])
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_projection_rejects_a_k_outside_the_completed_steps(k):
+    a, weight, b = setup_random(36)
+    state = run_steps(a, weight, b, 8)
+    with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 8, got {k}"):
+        project_bidiagonal(state, k)
+
+
 def test_projection_norm_bounded_by_sigma1():
     a, weight, b = setup_random(37)
     state = run_steps(a, weight, b, 10)

@@ -70,7 +70,7 @@ def test_solve_from_generated_dir_matches_inline(tmp_path, capsys):
           "--rule", "oracle", "--method", "wlsqr", "--out", str(tmp_path / "a")])
     direct = capsys.readouterr().out.splitlines()[1]
     main(["solve", "--in", gen_dir, "--rule", "oracle", "--method", "wlsqr",
-          "--epsilon", "1e-3", "--seed", "0", "--out", str(tmp_path / "b")])
+          "--out", str(tmp_path / "b")])
     loaded = capsys.readouterr().out.splitlines()[1]
     # identical up to the timing field
     assert direct.rsplit(",", 1)[0] == loaded.rsplit(",", 1)[0]
@@ -363,6 +363,24 @@ def test_an_option_the_command_does_not_read_exits_1(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+# each instance option at its default value, which --in refuses all the same
+INSTANCE = [["--problem", "shaw"], ["--m", "60"], ["--n", "41"], ["--epsilon", "1e-3"],
+            ["--seed", "0"]]
+
+
+@pytest.mark.parametrize("given", [*INSTANCE, sum(INSTANCE, [])],
+                         ids=[*(o[0] for o in INSTANCE), "all"])
+def test_solve_in_with_an_instance_option_exits_1(tmp_path, capsys, monkeypatch, given):
+    # the directory is the whole instance, so an instance option would go unread
+    monkeypatch.setattr(cli, "load_problem", None)  # any work would raise TypeError
+    monkeypatch.setattr(cli, "build_problem", None)
+    out = tmp_path / "out"
+    assert main(["solve", "--in", str(tmp_path), *given, "--out", str(out)]) == 1
+    assert ("--in reads the instance from its directory; drop " + ", ".join(given[::2])
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, values", [("--epsilon", ["1e-2", "0.01"]),
                                             ("--seed", ["0", "1", "0"]),
                                             ("--method", ["wlsqr", "wlsqr"]),
@@ -545,6 +563,18 @@ def test_lcurve_points_rejects_a_short_row(tmp_path, capsys, shaw_lc_history):
     assert not (tmp_path / "lcurve.csv").exists()
 
 
+def test_lcurve_points_rejects_a_field_that_does_not_parse(tmp_path, capsys,
+                                                         shaw_lc_history):
+    write_points(tmp_path / "pts.csv", shaw_lc_history, 1)
+    with open(tmp_path / "pts.csv", "a") as fh:
+        fh.write("16,abc,0.5\n")
+    assert main(["lcurve", "--points", str(tmp_path / "pts.csv"),
+                 "--out", str(tmp_path)]) == 1
+    assert (f"{tmp_path / 'pts.csv'}: data row 16: could not convert string to float: "
+            "'abc'" in capsys.readouterr().err)
+    assert not (tmp_path / "lcurve.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_solve_twsvd_rejects_a_max_iter_below_one(tmp_path, capsys, value):
     assert main(["solve", "--problem", "shaw", "--m", "60", "--n", "41",
@@ -669,6 +699,17 @@ def test_solve_in_a_directory_whose_meta_lacks_a_key_exits_1(tmp_path, capsys):
                             if not line.startswith("m=")))
     assert main(["solve", "--in", str(meta.parent), "--out", str(tmp_path / "out")]) == 1
     assert f"invalid configuration: {meta}: no 'm' key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_in_a_directory_whose_meta_value_does_not_parse_exits_1(tmp_path, capsys):
+    main(["gen", "--problem", "shaw", "--m", "40", "--n", "31", "--epsilon", "1e-2",
+          "--out", str(tmp_path)])
+    meta = Path(capsys.readouterr().out.strip(), "meta")
+    meta.write_text(meta.read_text().replace("m=40", "m=4o"))
+    assert main(["solve", "--in", str(meta.parent), "--out", str(tmp_path / "out")]) == 1
+    assert (f"invalid configuration: {meta}: key 'm': invalid literal for int() "
+            "with base 10: '4o'" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

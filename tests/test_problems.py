@@ -452,3 +452,8 @@ def test_load_rejects_a_header_that_disagrees_with_meta(tmp_path):
     path.write_bytes(np.array([15, 24], dtype="<i8").tobytes() + data[16:])
     with pytest.raises(ValueError, match="header"):
         load_problem(tmp_path)
+
+
+def test_true_solution_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown problem 'bogus'"):
+        true_solution("bogus", np.linspace(0.0, 1.0, 5))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem,
-                  lcurve_curvature, lcurve_points, lsqr_baseline, select, spr_solve,
-                  stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
+                  lcurve_curvature, lcurve_points, lsqr_baseline, min_m_norm_ls, select,
+                  spr_solve, stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
                   tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_iterate,
                   wlsqr_run, wsvd)
 from wsvd.solver import DEFAULT_MAX_ITER
@@ -122,6 +122,11 @@ def test_lcurve_points_stop_at_first_non_finite_log():
         assert stop_lcurve(np.r_[np.nan, np.ones(5)], np.ones(6)) == (1, True)
 
 
+def test_lcurve_points_rejects_histories_of_different_lengths():
+    with pytest.raises(ValueError, match="differ in length"):
+        lcurve_points([3.0, 2.0, 1.0], [1.0, 2.0])
+
+
 def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule("dp")  # noise_norm missing
@@ -147,6 +152,11 @@ def test_a_non_finite_tau_or_noise_norm_is_rejected(bad):
         stop_dp([5.0, 2.0, 0.9], bad, 0.5)
     with pytest.raises(ValueError, match="noise_norm"):
         stop_dp([5.0, 2.0, 0.9], 1.01, bad)
+
+
+def test_stop_dp_rejects_an_empty_history():
+    with pytest.raises(ValueError, match="empty residual history"):
+        stop_dp([], 1.01, 0.5)
 
 
 def _bad_x_true(problem, case):
@@ -408,6 +418,40 @@ def test_a_rescaled_matrix_gives_the_same_stop_indices(shaw_scaled_case, scale):
             assert np.allclose(x * scale, x1, rtol=0, atol=1e-12 * np.abs(x1).max())
 
 
+@pytest.fixture(scope="module")
+def shaw_noisy_1e2():
+    problem = build_problem("shaw", 120, 101)
+    return problem, add_noise(problem, 1e-2, 0)
+
+
+@pytest.mark.parametrize("route", ["dense", "krylov"])
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**700], ids=["2^-700", "2^700"])
+def test_the_spectral_methods_hold_under_a_rescaled_problem(shaw_noisy_1e2, route, scale):
+    # A, b and e scaled by c leave x_true, every pick and every rel_err as
+    # they are.  The squares of sigma, of u_i^T b and of b's remainder leave
+    # the float range at these scales, and are formed in scaled form
+    # (RuntimeWarnings fail the suite).
+    problem, noisy = shaw_noisy_1e2
+    x_true = problem.x_true
+
+    def run(c):
+        b = noisy.b * c
+        fact = wsvd(problem.a * c, problem.weight, start=b if route == "krylov" else None)
+        assert (fact.krylov_steps is None) == (route == "dense")
+        history = twsvd_record(fact, b, x_true)
+        noise_norm = float(np.linalg.norm(noisy.e)) * c
+        picks = [select(StoppingRule(kind, noise_norm=noise_norm, x_true=x_true),
+                        history).stop_index for kind in ("dp", "lc", "oracle")]
+        _, x = tikhonov_opt(fact, b, x_true)
+        return fact, b, picks, np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
+
+    _, _, picks1, err1 = run(1.0)
+    fact, b, picks, err = run(scale)
+    assert picks == picks1 == [4, 5, 7]
+    assert np.array_equal(tikhonov_wsvd(fact, b, 0.0), min_m_norm_ls(fact, b))
+    assert err == pytest.approx(err1, rel=1e-8)
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_twsvd_record_rejects_a_max_iter_below_one(max_iter):
     fact = wsvd(np.diag([3.0, 2.0, 1.0]), WeightMatrix.identity(3))
@@ -476,6 +520,13 @@ def test_tikhonov_opt_matches_grid(shaw_small):
     grid_errs = [np.linalg.norm(tikhonov_wsvd(fact, noisy.b, lam) - problem.x_true) / nx
                  for lam in grid]
     assert err_opt <= min(grid_errs) * 1.001
+
+
+def test_tikhonov_opt_rejects_a_rank_0_factorization():
+    fact = wsvd(np.zeros((3, 2)), WeightMatrix.identity(2))
+    assert fact.rank == 0
+    with pytest.raises(ValueError, match="factorization has rank 0"):
+        tikhonov_opt(fact, np.ones(3), np.ones(2))
 
 
 def test_run_record_consistency(shaw_small):

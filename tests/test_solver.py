@@ -205,6 +205,14 @@ def test_the_terminating_iterate_is_recovered_exactly(table_breakdown):
     assert np.array_equal(wlsqr_iterate(state.bidiag, state.k), state.x)
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_iterate_rejects_a_k_outside_the_completed_steps(k):
+    a, weight, b = setup_random(3)
+    state = wlsqr_run(a, weight, b, max_iter=8)
+    with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 8, got {k}"):
+        wlsqr_iterate(state.bidiag, k)
+
+
 def test_the_terminating_iterate_is_the_krylov_wsvd_solution(table_breakdown):
     problem, noisy, state = table_breakdown
     fact = wsvd(problem.a, problem.weight, start=noisy.b)

@@ -264,3 +264,10 @@ def test_the_constructor_takes_any_array_like_and_derives_its_kind():
     d = WeightMatrix([4.0, 1.0, 0.25])
     assert (d.kind, d.n) == ("diagonal", 3)
     assert np.array_equal(d.factor(), np.diag([2.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("op", ["matvec", "solve", "norm"])
+def test_an_operand_of_another_leading_dimension_is_rejected(op):
+    w = WeightMatrix.diagonal([4.0, 1.0, 0.25])
+    with pytest.raises(ValueError, match="leading dimension 2, weight matrix is 3x3"):
+        getattr(w, op)(np.ones(2))
