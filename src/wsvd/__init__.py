@@ -11,9 +11,8 @@ from .bidiag import (ApproxTriplet, BidiagState, approx_triplets,
 from .decomposition import (WsvdFactorization, covers, low_rank_approx, min_m_norm_ls,
                             tikhonov_wsvd, twsvd_solution,
                             weighted_operator_norm, wsvd)
-from .problems import (NoisyData, TestProblem, add_noise, build_problem,
-                       condition_estimate, kernel_eval, load_problem,
-                       save_problem, simpson_weights, true_solution)
+from .problems import (NoisyData, TestProblem, add_noise, build_problem, kernel_eval,
+                       load_problem, save_problem, simpson_weights, true_solution)
 from .regularization import (LCurveStop, RunRecord, StoppingRule,
                              lcurve_curvature, lcurve_points, lsqr_baseline,
                              select, spr_solve, stop_dp, stop_lcurve, stop_oracle,
@@ -37,7 +36,6 @@ __all__ = [
     "add_noise",
     "approx_triplets",
     "build_problem",
-    "condition_estimate",
     "covers",
     "kernel_eval",
     "lcurve_curvature",

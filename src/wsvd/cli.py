@@ -31,10 +31,11 @@ from .bidiag import approx_triplets, wgkb_run
 from .decomposition import covers, wsvd
 from .problems import (PROBLEM_NAMES, add_noise, build_problem, load_problem,
                        save_problem, write_array)
-from .regularization import (DEFAULT_TAU, RULES, RunRecord, StoppingRule,
+from .regularization import (DEFAULT_TAU, RULES, RunRecord, StoppingRule, _rel_err,
                              lcurve_curvature, lsqr_baseline, select, spr_solve,
                              tikhonov_opt, twsvd_record)
 from .solver import wlsqr_run  # noqa: F401  not called here; bench/tracing.py wraps this name
+from .weights import _sqrt_dot
 
 METHODS = ("wlsqr", "lsqr", "tikh-opt", "twsvd")
 
@@ -141,7 +142,7 @@ def _rules(args, problem, noisy):
     x_true), which exits 1 before any row is written."""
     if all(method == "tikh-opt" for method in args.methods):
         return []
-    noise = float(np.linalg.norm(noisy.e))
+    noise = _sqrt_dot(noisy.e)
     return [StoppingRule(kind, tau=args.tau, noise_norm=noise, x_true=problem.x_true)
             for kind in args.rules]
 
@@ -170,7 +171,7 @@ def _cell(method, rules, problem, noisy, args, cache):
         cache["noisy"] = noisy
     if method == "tikh-opt":
         _, x = tikhonov_opt(cache["fact"], b, x_true)
-        yield "oracle", 0, float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true)), x
+        yield "oracle", 0, _rel_err(x, x_true, _sqrt_dot(x_true)), x
         return
     run = rules[0] if len(rules) == 1 else StoppingRule("maxiter")
     if method == "twsvd":
@@ -224,7 +225,7 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     [(label, stop_k, rel_err, result)] = _cell(method, rules, problem, noisy, args, {})
     if method == "tikh-opt":
-        rows = [("0", _fmt(np.linalg.norm(problem.a @ result - noisy.b)),
+        rows = [("0", _fmt(_sqrt_dot(problem.a @ result - noisy.b)),
                  _fmt(problem.weight.norm(result)), _fmt(rel_err))]
     else:
         rows = [(str(k), _fmt(result.residual_norms[k - 1]),

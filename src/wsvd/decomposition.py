@@ -35,14 +35,13 @@ k-term expansion agrees to about eps * sigma_1 / sigma_k relative.  A
 dense factorization covers every b.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bidiag import (BREAK_TOL, _checked_matrix, _checked_vector, _lifted_svd,
                      _reorth, wgkb_run)
-from .weights import WeightMatrix
+from .weights import WeightMatrix, _pow2_scale
 
 # Steps the Krylov route takes before it gives up and runs the dense route.
 KRYLOV_MAX_STEPS = 64
@@ -90,16 +89,6 @@ def _fix_signs(u, v, coupled):
     for x, flip in zip((u, v), flips):
         np.negative(x, out=x, where=flip)
     return u, v
-
-
-def _pow2_scale(x):
-    """A power of two c that brings the largest of the entries of x (all
-    >= 0) within 2^+-400, so that squares and sums of squares of c-scaled
-    values neither overflow nor underflow.  It is 1.0 when that entry lies
-    there already, as at any natural scale, so those values keep their
-    bits; an empty or zero x gives 1.0 too."""
-    e = int(np.frexp(np.max(x, initial=0.0))[1])
-    return 1.0 if abs(e) <= 400 else math.ldexp(1.0, -max(e, -1000))
 
 
 def _rank(s, shape):
@@ -179,8 +168,9 @@ def covers(fact, a, b):
     if fact.krylov_steps is None:
         return True
     r, r_norm = _reorth(b, fact.u)  # r = 0 gives s = 0 and passes
-    _, s_norm = _reorth(fact.weight.solve(a.T @ r), fact.v, fact.weight)
-    return bool(s_norm <= BREAK_TOL * fact.sigma[0] * r_norm)
+    c = _pow2_scale(r_norm)  # keeps A^T r in range; 1.0 at natural scale
+    _, s_norm = _reorth(fact.weight.solve(a.T @ (r * c)), fact.v, fact.weight)
+    return bool(s_norm <= BREAK_TOL * fact.sigma[0] * (r_norm * c))
 
 
 def weighted_operator_norm(a, weight):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightMatrix
+from .weights import WeightMatrix, _sqrt_dot
 
 TABLE_DIMS = {
     "shaw": (2500, 2001),
@@ -265,17 +265,8 @@ def add_noise(problem, epsilon, seed):
         return NoisyData(b=problem.b_exact.copy(), e=e, epsilon=0.0, seed=seed)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(problem.m)
-    e *= epsilon * np.linalg.norm(problem.b_exact) / np.linalg.norm(e)
+    e *= epsilon * _sqrt_dot(np.ascontiguousarray(problem.b_exact)) / _sqrt_dot(e)
     return NoisyData(b=problem.b_exact + e, e=e, epsilon=float(epsilon), seed=seed)
-
-
-def condition_estimate(problem):
-    """sigma_max / sigma_min over the standard singular values above the
-    rank tolerance max(m, n) * eps * sigma_1."""
-    s = np.linalg.svd(problem.a, compute_uv=False)
-    tol = max(problem.m, problem.n) * np.finfo(float).eps * s[0]
-    kept = s[s > tol]
-    return float(kept[0] / kept[-1])
 
 
 # -- on-disk format ---------------------------------------------------------

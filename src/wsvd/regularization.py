@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bidiag import _checked_matrix, _checked_vector
-from .decomposition import _coefficients, _pow2_scale, tikhonov_wsvd
+from .decomposition import _coefficients, tikhonov_wsvd
 from .solver import DEFAULT_MAX_ITER, wlsqr_iterate, wlsqr_run
-from .weights import WeightMatrix, _sqrt_dot
+from .weights import WeightMatrix, _pow2_scale, _sqrt_dot
 
 RULES = ("dp", "lc", "oracle", "maxiter")
 
@@ -260,7 +260,8 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
     difference of nearly equal squares is taken.  Those squares are of the
     parts of b scaled by _pow2_scale(||b||_2), which is 1 while ||b||_2 lies
     within 2^+-400, so the residuals hold for any ||b||_2 a double holds,
-    2^-700 and 2^700 included.  M-norms come from the coefficients, and
+    2^-700 and 2^700 included.  M-norms come from the coefficients u_i^T b
+    / sigma_i, scaled alike by _pow2_scale of their largest magnitude, and
     rel_errors (when x_true is given) from the iterates themselves.  Raises
     ValueError for a max_iter below 1, for an x_true that _checked_x_true
     rejects and for a b that _coefficients rejects (a shape other than
@@ -278,14 +279,15 @@ def twsvd_record(fact, b, x_true=None, max_iter=None):
     tail = np.cumsum(((ub * c)**2)[::-1])[::-1]  # tail[j] = sum of (c ub[i])**2 over i >= j
     res = np.sqrt(outside @ outside + np.append(tail[1:], 0.0)[:kmax]) / c
     coef = ub[:kmax] / fact.sigma[:kmax]
-    mnorms = np.sqrt(np.cumsum(coef**2))
+    cm = _pow2_scale(np.abs(coef))  # the M-norms' squares are of cm-scaled coef
+    mnorms = np.sqrt(np.cumsum((coef * cm)**2)) / cm
     errs = None
     if x_true is not None:
         errs = np.empty(kmax)
         x = np.zeros(fact.v.shape[0])
         for k in range(kmax):
             x = x + coef[k] * fact.v[:, k]
-            errs[k] = np.linalg.norm(x - x_true) / nx
+            errs[k] = _rel_err(x, x_true, nx)
     return RunRecord(residual_norms=res,
                      solution_m_norms=mnorms, rel_errors=errs,
                      initial_residual=b_norm, stop_index=kmax,
@@ -297,10 +299,16 @@ def _checked_x_true(x_true, n):
     x_true unless _checked_vector accepts it and its norm is positive and
     finite, so that every relative error is defined."""
     x_true = _checked_vector(x_true, n, "x_true")
-    norm = np.linalg.norm(x_true)
+    norm = _sqrt_dot(np.ascontiguousarray(x_true))
     if not 0 < norm < np.inf:
         raise ValueError(f"x_true must be nonzero with a finite 2-norm, got {norm}")
     return x_true, norm
+
+
+def _rel_err(x, x_true, x_true_norm):
+    """||x - x_true||_2 / x_true_norm, the one relative error of the
+    package, with the norm by _sqrt_dot."""
+    return _sqrt_dot(x - x_true) / x_true_norm
 
 
 def _crc32(arr, crc=0):
@@ -384,7 +392,7 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
 
     def cb(k, x, res, mnorm):
         if errs is not None:
-            errs.append(float(np.linalg.norm(x - x_true) / x_true_norm))
+            errs.append(_rel_err(x, x_true, x_true_norm))
         # phibar never increases, so a threshold met at x_0 stops at step 1
         return thr is not None and res <= thr
 
@@ -438,7 +446,7 @@ def tikhonov_opt(fact, b, x_true):
     s1sq = fact.sigma[0] ** 2
 
     def err(t):
-        return np.linalg.norm(tikhonov_wsvd(fact, b, np.exp(t)) - x_true) / nx
+        return _rel_err(tikhonov_wsvd(fact, b, np.exp(t)), x_true, nx)
 
     lo, hi = np.log(1e-16 * s1sq), np.log(s1sq)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -25,6 +25,7 @@ import numpy as np
 from .bidiag import (BidiagState, _checked_matrix, project_bidiagonal, wgkb_init,
                      wgkb_step)
 from .decomposition import _rank
+from .weights import _sqrt_dot
 
 DEFAULT_MAX_ITER = 200
 
@@ -166,7 +167,7 @@ def _terminal_solution(bidiag):
     residual = -(y[:, :rank] @ coef)
     residual[0] += bidiag.betas[0]
     x = bidiag.Q[:, :bidiag.k] @ (ht[:rank].T @ (coef / theta[:rank]))
-    return x, float(np.linalg.norm(residual))
+    return x, _sqrt_dot(residual)
 
 
 def wlsqr_iterate(bidiag, k):

@@ -7,8 +7,13 @@ operations exposed here: multiply, solve, inner product, norm, and a
 triangular factor L with M = L^T L, so that ||L x||_2 = ||x||_M exactly.
 scipy is imported only for a dense M: importing the package or its command
 line, or solving with a diagonal M, never loads it.
+
+The package's two range guards live here too: _sqrt_dot for every vector
+norm it reports, and _pow2_scale for the squares of the spectral methods
+and the product A^T r of covers.
 """
 
+import math
 import re
 import sys
 import warnings
@@ -27,9 +32,13 @@ def _sqrt_dot(x, y=None, factor=1.0):
     overflows, or falls below tiny/eps in magnitude with x and y nonzero, is
     it recomputed from x and y scaled by their largest magnitudes, so every
     in-range value keeps the bits of the plain formula and the factor
-    brings an out-of-range norm back into range.  The recursion's alphas and
-    betas and WeightMatrix.norm all go through it, so scaling A by any
-    constant from 1e-290 to 1e280 leaves every stop index unchanged."""
+    brings an out-of-range norm back into range.  Every vector norm the
+    package reports goes through it: the recursion's alphas and betas,
+    WeightMatrix.norm, residuals, noise norms and relative errors.  So
+    scaling A by any constant from 1e-290 to 1e280, or A, b or both by
+    2^+-700 with x_true and the noise scaled to match, leaves every stop
+    index unchanged.  A contiguous x gets np.linalg.norm's bits, so a
+    strided one is passed as a contiguous copy."""
     with np.errstate(over="ignore"):
         sq = float(x @ (x if y is None else y))
     if _UNDERFLOW <= abs(sq) < np.inf:
@@ -41,6 +50,16 @@ def _sqrt_dot(x, y=None, factor=1.0):
     xs = x / cx
     sq = xs @ (xs if y is None else y / cy)
     return float(factor * np.sqrt(cx) * np.sqrt(cy) * np.sqrt(max(sq, 0.0)))
+
+
+def _pow2_scale(x):
+    """A power of two c that brings the largest of the entries of x (all
+    >= 0) within 2^+-400, so that squares and sums of squares of c-scaled
+    values neither overflow nor underflow.  It is 1.0 when that entry lies
+    there already, as at any natural scale, so those values keep their
+    bits; an empty or zero x gives 1.0 too."""
+    e = int(np.frexp(np.max(x, initial=0.0))[1])
+    return 1.0 if abs(e) <= 400 else math.ldexp(1.0, -max(e, -1000))
 
 
 def _read_only(arr):
@@ -201,13 +220,6 @@ class WeightMatrix:
     def factor(self):
         """Lower-triangular L with M = L^T L, as a dense array."""
         return np.diag(self._factor) if self._factor.ndim == 1 else self._factor
-
-    def apply_factor(self, x):
-        """L @ x."""
-        x = self._check_dim(x)
-        if self._factor.ndim == 1:
-            return _rows(self._factor, x) * x
-        return self._factor @ x
 
     def solve_factor(self, y, transpose=False):
         """Solve L z = y, or L^T z = y when transpose is set."""

@@ -11,8 +11,8 @@ import wsvd
 import wsvd.problems
 
 from conftest import traced_peak
-from wsvd import (add_noise, build_problem, condition_estimate, kernel_eval,
-                  load_problem, save_problem, simpson_weights, true_solution)
+from wsvd import (add_noise, build_problem, kernel_eval, load_problem, save_problem,
+                  simpson_weights, true_solution)
 
 PROBLEMS = ("shaw", "phillips", "expst", "green")
 
@@ -354,28 +354,6 @@ def test_add_noise_rejects_a_non_finite_epsilon(epsilon):
     prob = build_problem("shaw", 40, 31)
     with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
         add_noise(prob, epsilon, 0)
-
-
-def test_condition_identity():
-    from wsvd.problems import TestProblem
-    from wsvd import WeightMatrix
-    prob = TestProblem(name="green", a=np.eye(5),
-                       weight=WeightMatrix.identity(5),
-                       x_true=np.ones(5), b_exact=np.ones(5),
-                       s_grid=np.arange(5.0), t_grid=np.arange(5.0))
-    assert condition_estimate(prob) == pytest.approx(1.0)
-
-
-def test_condition_fullscale_phillips():
-    # reference scale: condition of order 1e9
-    cond = condition_estimate(build_problem("phillips"))
-    assert cond >= 1e7
-
-
-def test_condition_fullscale_green():
-    # reference scale: condition of order 1e7
-    cond = condition_estimate(build_problem("green"))
-    assert cond >= 1e5
 
 
 def test_save_load_round_trip(tmp_path):

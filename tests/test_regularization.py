@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem,
+from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, covers,
                   lcurve_curvature, lcurve_points, lsqr_baseline, min_m_norm_ls, select,
                   spr_solve, stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
                   tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_iterate,
@@ -450,6 +450,65 @@ def test_the_spectral_methods_hold_under_a_rescaled_problem(shaw_noisy_1e2, rout
     assert picks == picks1 == [4, 5, 7]
     assert np.array_equal(tikhonov_wsvd(fact, b, 0.0), min_m_norm_ls(fact, b))
     assert err == pytest.approx(err1, rel=1e-8)
+
+
+def _picks_and_errors(problem, noisy, ca, cb):
+    """(pick, rel_err) per method and rule, and whether each factorization
+    covers its own b, on the problem (A ca, b cb, e cb, x_true cb / ca), an
+    exact rescaling of the natural one when ca and cb are powers of two."""
+    a, b, x_true = problem.a * ca, noisy.b * cb, problem.x_true * (cb / ca)
+    noise_norm = float(np.linalg.norm(noisy.e)) * cb
+    rules = [StoppingRule(kind, noise_norm=noise_norm, x_true=x_true)
+             for kind in ("dp", "lc", "oracle")]
+    out = {}
+
+    def read(method, history):
+        out[method] = [(r.stop_index, float(r.rel_errors[r.stop_index - 1]))
+                       for r in (select(rule, history) for rule in rules)]
+
+    read("wlsqr", spr_solve(a, problem.weight, b, StoppingRule("maxiter"), max_iter=40,
+                            x_true=x_true)[1])
+    for route, start in (("krylov", b), ("dense", None)):
+        fact = wsvd(a, problem.weight, start=start)
+        out[f"{route} covers b"] = covers(fact, a, b)
+        read(f"twsvd {route}", twsvd_record(fact, b, x_true))
+        _, x = tikhonov_opt(fact, b, x_true)
+        # x - x_true scales like x_true; undone exactly before the plain norm
+        out[f"tikh-opt {route}"] = (np.linalg.norm((x - x_true) * (ca / cb))
+                                    / np.linalg.norm(problem.x_true))
+    return out
+
+
+@pytest.fixture(scope="module")
+def shaw_natural_picks(shaw_noisy_1e2):
+    out = _picks_and_errors(*shaw_noisy_1e2, 1.0, 1.0)
+    assert [k for k, _ in out["wlsqr"]] == [4, 6, 5]
+    assert [k for k, _ in out["twsvd krylov"]] == [k for k, _ in out["twsvd dense"]] == [4, 5, 7]
+    return out
+
+
+@pytest.mark.parametrize("scaled", ["A", "b", "A and b"])
+@pytest.mark.parametrize("c", [2.0**-700, 2.0**700], ids=["2^-700", "2^700"])
+def test_a_matrix_or_data_scaled_alone_keeps_every_pick(shaw_noisy_1e2, shaw_natural_picks,
+                                                        scaled, c):
+    # (A c, b, x_true / c), (A, b c, x_true c) and (A c, b c, x_true): x,
+    # x_true, e, b's remainder in covers, the twsvd coefficients and the
+    # terminating WLSQR residual then have sums of squares outside the float
+    # range, which the package forms in scaled form (RuntimeWarnings fail
+    # the suite).  Every pick and covers decision is the natural one, and
+    # every rel_err agrees with it to rounding.
+    ca, cb = {"A": (c, 1.0), "b": (1.0, c), "A and b": (c, c)}[scaled]
+    out = _picks_and_errors(*shaw_noisy_1e2, ca, cb)
+    assert out.keys() == shaw_natural_picks.keys()
+    for key, natural in shaw_natural_picks.items():
+        if key.endswith("covers b"):
+            assert out[key] is natural is True, key
+        elif key.startswith("tikh-opt"):
+            assert out[key] == pytest.approx(natural, rel=1e-8), key
+        else:
+            assert [k for k, _ in out[key]] == [k for k, _ in natural], key
+            for (_, err), (_, err1) in zip(out[key], natural):
+                assert err == pytest.approx(err1, rel=1e-10), key
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

@@ -228,3 +228,27 @@ def test_every_top_level_import_is_used(path):
              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
              for elt in node.value.elts}
     assert imported - used == ({"wlsqr_run"} if path.name == "cli.py" else set())
+
+
+def _is_linalg_norm(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm" and getattr(node.func.value, "attr", None) == "linalg")
+
+
+def test_every_reported_norm_takes_the_one_range_guard():
+    # weights owns _sqrt_dot and _pow2_scale, which keep a norm whose plain
+    # sum of squares under- or overflows in range and give np.linalg.norm's
+    # bits otherwise; np.linalg.norm is left to the L-curve's log-space
+    # points, whose coordinates are logs of norms
+    defined, norm_owners = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.name, node.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in ("_sqrt_dot", "_pow2_scale")}
+        for top in tree.body:
+            norm_owners |= {(path.name, getattr(top, "name", None))
+                            for node in ast.walk(top) if _is_linalg_norm(node)}
+    assert defined == {("weights.py", "_sqrt_dot"), ("weights.py", "_pow2_scale")}
+    assert norm_owners == {("regularization.py", "lcurve_points"),
+                           ("regularization.py", "lcurve_curvature")}

@@ -138,7 +138,7 @@ def test_factor_norm_equivalence():
     w = WeightMatrix.dense(m)
     for _ in range(10):
         x = rng.standard_normal(9)
-        assert np.linalg.norm(w.apply_factor(x)) == pytest.approx(w.norm(x), rel=1e-12)
+        assert np.linalg.norm(w.factor() @ x) == pytest.approx(w.norm(x), rel=1e-12)
 
 
 def test_inner_symmetry_and_positivity():
@@ -169,9 +169,9 @@ def test_solve_factor_inverts_apply_factor():
     for w in (WeightMatrix.diagonal(rng.uniform(0.5, 2.0, 6)),
               WeightMatrix.dense(random_spd(rng, 6))):
         x = rng.standard_normal(6)
-        assert np.allclose(w.solve_factor(w.apply_factor(x)), x, atol=1e-12)
+        assert np.allclose(w.solve_factor(w.factor() @ x), x, atol=1e-12)
         # transposed pair: L^T then solve with transpose=True
-        y = w.factor().T @ x if w.kind == "dense" else w.apply_factor(x)
+        y = w.factor().T @ x
         assert np.allclose(w.solve_factor(y, transpose=True), x, atol=1e-12)
 
 
