@@ -17,7 +17,7 @@ from .regularization import (LCurveStop, RunRecord, StoppingRule,
                              lcurve_curvature, lcurve_points, lsqr_baseline,
                              select, spr_solve, stop_dp, stop_lcurve, stop_oracle,
                              tikhonov_opt, twsvd_record)
-from .solver import WlsqrState, wlsqr_init, wlsqr_iterate, wlsqr_run, wlsqr_step
+from .solver import WlsqrState, wlsqr_init, wlsqr_run, wlsqr_step
 from .weights import WeightMatrix
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "wgkb_run",
     "wgkb_step",
     "wlsqr_init",
-    "wlsqr_iterate",
     "wlsqr_run",
     "wlsqr_step",
     "wsvd",

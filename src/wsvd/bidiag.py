@@ -231,6 +231,17 @@ def _checked_vector(v, m, what):
     return v
 
 
+def _finite(value, what):
+    """value (a scalar or a tuple of them), else ValueError naming what.
+    NaN or inf in A, and a weighted singular value past the float range,
+    make alpha_1, a later beta or alpha, or sigma_1 non-finite: this is the
+    package's one check of both, made on those scalars."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"matrix has non-finite entries or a weighted singular value "
+                         f"past the float range: {what} = {value}")
+    return value
+
+
 def wgkb_init(a, weight, b, max_steps=None):
     """First vectors of the recursion.
 
@@ -240,11 +251,13 @@ def wgkb_init(a, weight, b, max_steps=None):
     n) + 1 columns; a step past that budget raises RuntimeError.  Raises
     ValueError for a negative max_steps, for an A that _checked_matrix or
     a b that _checked_vector rejects (either names the shape), for b = 0
-    and for non-finite entries in A.  A is scanned once for its envelope,
+    and for a non-finite alpha_1.  A is scanned once for its envelope,
     which never skips a NaN or inf, so each one reaches A^T p_1 (NaN * 0
-    and inf * 0 are NaN), which is checked.  If b is orthogonal to the
-    range of A the returned state is already terminated with
-    termination_step 0 and alphas == [0.0].
+    and inf * 0 are NaN) and alpha_1; so does an A whose weighted singular
+    values pass the float range, where M^{-1} A^T p_1 overflows.  Both are
+    rejected without a RuntimeWarning.  If b is orthogonal to the range of
+    A the returned state is already terminated with termination_step 0 and
+    alphas == [0.0].
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
@@ -255,11 +268,10 @@ def wgkb_init(a, weight, b, max_steps=None):
         raise ValueError("starting vector b must be nonzero")
     p1 = b / beta1
     envelope = _envelope(a)
-    sbar = _rmatvec(a, envelope, p1)
-    if not np.isfinite(sbar).all():
-        raise ValueError("matrix has non-finite entries")
-    s = weight.solve(sbar)
-    alpha1 = _sqrt_dot(s, sbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # each reaches alpha_1
+        sbar = _rmatvec(a, envelope, p1)
+        s = weight.solve(sbar)
+        alpha1 = _finite(_sqrt_dot(s, sbar), "alpha_1")
     m, n = a.shape
     cols = (min(m, n) if max_steps is None else min(max_steps, m, n)) + 1
     p_buf, q_buf = np.empty((m, cols), order="F"), np.empty((n, cols), order="F")
@@ -282,7 +294,9 @@ def wgkb_step(state, a, weight):
     orthogonality and copies of converged singular values appear.  The step
     writes its columns into the buffers and appends its beta and alpha last,
     so a step that raises leaves the state unchanged; a step past the budget
-    the bases were sized for raises RuntimeError.
+    the bases were sized for raises RuntimeError, and a non-finite beta or
+    alpha (an overflow, as in wgkb_init) raises ValueError, without a
+    RuntimeWarning first.
     """
     if state.terminated:
         raise RuntimeError("bidiagonalization already terminated")
@@ -291,21 +305,23 @@ def wgkb_step(state, a, weight):
     if i == state.p_buf.shape[1]:
         raise RuntimeError(f"step {i} is past the budget of {state.k} steps")
     q_last = qm[:, -1]
-    r = _matvec(a, state.envelope, q_last) - state.alphas[-1] * pm[:, -1]
-    r, beta = _reorth(r, pm)
     scale = state.scale
-    if beta <= BREAK_TOL * scale:
-        beta = alpha = 0.0
-    else:
-        scale = max(scale, beta)
-        p = r / beta
-        state.p_buf[:, i] = p
-        sbar = _rmatvec(a, state.envelope, p) - beta * weight.matvec(q_last)
-        s, alpha = _reorth(weight.solve(sbar), qm, weight)
-        if alpha <= BREAK_TOL * scale:
-            alpha = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # each reaches beta or alpha
+        r = _matvec(a, state.envelope, q_last) - state.alphas[-1] * pm[:, -1]
+        r, beta = _reorth(r, pm)
+        if beta <= BREAK_TOL * scale:
+            beta = alpha = 0.0
         else:
-            state.q_buf[:, i] = s / alpha
+            scale = max(scale, beta)
+            p = r / beta
+            state.p_buf[:, i] = p
+            sbar = _rmatvec(a, state.envelope, p) - beta * weight.matvec(q_last)
+            s, alpha = _reorth(weight.solve(sbar), qm, weight)
+            if alpha <= BREAK_TOL * scale:
+                alpha = 0.0
+            else:
+                state.q_buf[:, i] = s / alpha
+    _finite((beta, alpha), f"(beta_{i + 1}, alpha_{i + 1})")
     state.betas.append(beta)
     state.alphas.append(alpha)
     return state

@@ -25,9 +25,11 @@ dense index unless singular values repeat.  It does not reconstruct A.
 
 A Krylov factorization also serves every other right-hand side that its
 space captures.  covers(fact, a, b) certifies this with the test the
-recursion applies to a new alpha: with r = b - U U^T b and s the part of
-M^{-1} A^T r that is M-orthogonal to V, it accepts b when r = 0 or
-||s||_M <= BREAK_TOL * sigma_1 * ||r||_2.  Continuing the recursion from
+recursion applies to a new alpha: with r = b - U U^T b, p = r / ||r||_2
+and s the part of M^{-1} A^T p that is M-orthogonal to V, it accepts b when
+r = 0 or ||s||_M <= BREAK_TOL * sigma_1.  p is a unit vector, so
+||M^{-1} A^T p||_M <= sigma_1 and the test holds at any scale of A and b
+that a double holds, 2^+-700 included.  Continuing the recursion from
 b's remainder would then stop at once, so the Tikhonov, minimum-M-norm and
 twsvd solutions for b equal the dense ones as closely as those of the
 start do: either route fixes a triplet only to about eps * sigma_1, so a
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import (BREAK_TOL, _checked_matrix, _checked_vector, _lifted_svd,
+from .bidiag import (BREAK_TOL, _checked_matrix, _checked_vector, _finite, _lifted_svd,
                      _reorth, wgkb_run)
 from .weights import WeightMatrix, _pow2_scale
 
@@ -92,7 +94,11 @@ def _fix_signs(u, v, coupled):
 
 
 def _rank(s, shape):
-    tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    """Count of the singular values s (nonincreasing, at least one) above
+    the rank tolerance max(shape) * eps * s[0].  ValueError (see _finite)
+    when s[0], sigma_1, overflowed.  Both wsvd routes and WLSQR's terminating
+    step take their rank here."""
+    tol = max(shape) * np.finfo(float).eps * _finite(s[0], "sigma_1")
     return int(np.count_nonzero(s > tol))
 
 
@@ -129,9 +135,10 @@ def wsvd(a, weight, full_matrices=False, start=None):
     -------
     WsvdFactorization
 
-    Raises ValueError for an A that _checked_matrix rejects and for NaN or
+    Raises ValueError for an A that _checked_matrix rejects, for NaN or
     inf in A, which the dense route scans for and the Krylov route finds in
-    A^T p_1 (see wgkb_init).
+    alpha_1 (see wgkb_init), and for a weighted singular value past the
+    float range, where sigma_1 or an alpha or beta overflows (see _finite).
     """
     # with a start, the recursion runs before any dense work and checks A
     a = _checked_matrix(a, weight, scan=start is None)
@@ -167,18 +174,19 @@ def covers(fact, a, b):
     b = _checked_vector(b, m, "right-hand side")
     if fact.krylov_steps is None:
         return True
-    r, r_norm = _reorth(b, fact.u)  # r = 0 gives s = 0 and passes
-    c = _pow2_scale(r_norm)  # keeps A^T r in range; 1.0 at natural scale
-    _, s_norm = _reorth(fact.weight.solve(a.T @ (r * c)), fact.v, fact.weight)
-    return bool(s_norm <= BREAK_TOL * fact.sigma[0] * (r_norm * c))
+    r, r_norm = _reorth(b, fact.u)
+    p = r / r_norm if r_norm else r  # a unit vector; r = 0 gives s = 0 and passes
+    _, s_norm = _reorth(fact.weight.solve(a.T @ p), fact.v, fact.weight)
+    return bool(s_norm <= BREAK_TOL * fact.sigma[0])
 
 
 def weighted_operator_norm(a, weight):
     """||A||_{M,2} = max ||A x||_2 / ||x||_M, the largest weighted singular
-    value; 0 for the zero matrix."""
+    value; 0 for the zero matrix.  ValueError (see _finite) when it lies
+    past the float range."""
     a = _checked_matrix(a, weight)
     s = np.linalg.svd(_transform(a, weight), compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    return float(_finite(s[0], "sigma_1"))
 
 
 def low_rank_approx(fact, k):

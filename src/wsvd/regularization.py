@@ -19,7 +19,7 @@ import numpy as np
 
 from .bidiag import _checked_matrix, _checked_vector
 from .decomposition import _coefficients, tikhonov_wsvd
-from .solver import DEFAULT_MAX_ITER, wlsqr_iterate, wlsqr_run
+from .solver import DEFAULT_MAX_ITER, wlsqr_run
 from .weights import WeightMatrix, _pow2_scale, _sqrt_dot
 
 RULES = ("dp", "lc", "oracle", "maxiter")
@@ -347,8 +347,10 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
     iteration eagerly at the first crossing of the threshold _dp_threshold
     forms, with the check StoppingRule made; the other rules run to
     max_iter, and select picks the index from the history.  An earlier
-    selected iterate comes from wlsqr_iterate, so no iterate is stored, the
-    solver runs once, and x is the iterate whose rel_errors entry the record
+    selected iterate x_k comes from continuing the same run for k steps
+    (wlsqr_run's _bidiag), which replays the solver's update over the
+    stored columns and steps nothing, so no iterate is stored, the recursion
+    runs once, and x is the iterate whose rel_errors entry the record
     reports, bit for bit.
 
     The kept run.  All rules select from the same recursion, so the last
@@ -408,7 +410,8 @@ def spr_solve(a, weight, b, rule, max_iter=None, x_true=None):
             terminated_at=state.bidiag.termination_step if state.done else None,
         ))
         k = record.stop_index
-        x = state.x if k == state.k else wlsqr_iterate(state.bidiag, k)
+        x = state.x if k == state.k else wlsqr_run(a, weight, b, max_iter=k,
+                                                   _bidiag=state.bidiag).x
     finally:
         with _kept_lock:
             _kept = (key, digest, state.bidiag)

@@ -15,7 +15,10 @@ system.  The iterate is then the minimum-M-norm least-squares solution of
 the Krylov wsvd route, min_m_norm_ls(wsvd(a, weight, start=b), b).
 
 The solver can also continue the recursion that spr_solve keeps (see
-spr_solve and wlsqr_run's _bidiag).
+spr_solve and wlsqr_run's _bidiag).  That continuation is the one path that
+replays stored columns: spr_solve reads an earlier selected iterate x_k by
+continuing its own run for k steps, which replays _advance over the k
+columns it holds and never steps the recursion.
 """
 
 from dataclasses import dataclass, field
@@ -133,8 +136,11 @@ def wlsqr_run(a, weight, b, max_iter=None, callback=None, *, _bidiag=None):
     max_iter defaults to min(m, n, 200) and is also the step budget that
     sizes the bases once (see wgkb_init).  _bidiag is private to spr_solve,
     whose docstring states the kept-run contract: a recursion of these same
-    a, weight and b, run for this budget, that the solver continues instead
-    of calling wlsqr_init.  Nothing checks that it fits.
+    a, weight and b, sized for at least max_iter steps, that the solver
+    continues instead of calling wlsqr_init, replaying the columns it holds
+    and stepping it only past them.  spr_solve passes its kept run with its
+    own budget, and its finished run with max_iter = k to read an earlier
+    x_k.  Nothing checks that it fits.
     callback(k, x, residual_norm, solution_m_norm) is invoked after each
     step; a truthy return stops the run.  The x passed to the callback is
     never mutated by later steps.
@@ -169,18 +175,3 @@ def _terminal_solution(bidiag):
     x = bidiag.Q[:, :bidiag.k] @ (ht[:rank].T @ (coef / theta[:rank]))
     return x, _sqrt_dot(residual)
 
-
-def wlsqr_iterate(bidiag, k):
-    """The k-th iterate x_k = Q_k y_k, y_k = argmin ||B_k y - beta_1 e_1||_2,
-    recovered from a recursion that has run at least k steps.
-
-    A fresh solver state replays _advance over the k stored columns, so the
-    result has the bits of the solver's x_k, for k pairs of length-n vector
-    updates and no product with A.  The recursion is never stepped.
-    """
-    if not 1 <= k <= bidiag.k:
-        raise ValueError(f"k must satisfy 1 <= k <= {bidiag.k}, got {k}")
-    state = _start(bidiag)
-    for _ in range(k):
-        _advance(state)
-    return state.x

@@ -9,8 +9,8 @@ scipy is imported only for a dense M: importing the package or its command
 line, or solving with a diagonal M, never loads it.
 
 The package's two range guards live here too: _sqrt_dot for every vector
-norm it reports, and _pow2_scale for the squares of the spectral methods
-and the product A^T r of covers.
+norm it reports, and _pow2_scale for the squares of the spectral methods.
+(covers needs neither: it applies A^T to a unit vector.)
 """
 
 import math

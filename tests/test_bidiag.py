@@ -398,6 +398,21 @@ def test_a_step_past_the_budget_raises():
     assert np.array_equal(state.P, p) and np.array_equal(state.Q, q)
 
 
+def test_a_step_whose_beta_overflows_raises_and_leaves_the_state():
+    # sigma_1 of the lower 2x2 block is 2.1e308: alpha_1 = 2.1e298 is in
+    # range, but A q_1 overflows, and the step raises without a
+    # RuntimeWarning (they fail the suite)
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.5e308, 1.5e308], [0.0, 1.5e308, -1.5e308]])
+    weight = WeightMatrix.identity(3)
+    state = wgkb_init(a, weight, np.array([1.0, 1e-10, 0.0]))
+    assert state.k == 0 and not state.terminated
+    alphas, betas, p, q = list(state.alphas), list(state.betas), state.P, state.Q
+    with pytest.raises(ValueError, match=r"past the float range: \(beta_2, alpha_2\)"):
+        wgkb_step(state, a, weight)
+    assert state.alphas == alphas and state.betas == betas
+    assert np.array_equal(state.P, p) and np.array_equal(state.Q, q)
+
+
 def orthogonal_start():
     # A maps onto span(e1) and b = e2: alpha_1 = 0
     a = np.zeros((4, 3))

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from wsvd import (WeightMatrix, add_noise, build_problem, covers, low_rank_approx,
-                  min_m_norm_ls, tikhonov_opt, tikhonov_wsvd, twsvd_record, twsvd_solution,
-                  weighted_operator_norm, wsvd)
+from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, covers,
+                  low_rank_approx, min_m_norm_ls, spr_solve, tikhonov_opt, tikhonov_wsvd,
+                  twsvd_record, twsvd_solution, weighted_operator_norm, wlsqr_run, wsvd)
 
 from test_weights import random_spd
 
@@ -278,6 +278,48 @@ def test_krylov_route_factors_entries_near_overflow(a, start):
     assert np.allclose(fk.sigma, fd.sigma[:fk.rank], rtol=1e-12, atol=0)
 
 
+@pytest.fixture(scope="module")
+def shaw_1e2():
+    problem = build_problem("shaw", 120, 101)
+    return problem, add_noise(problem, 1e-2, 0)
+
+
+# every route from A to sigma_1 or to an iterate
+ROUTES = {
+    "dense": lambda a, w, b: wsvd(a, w).rank,
+    "operator-norm": lambda a, w, b: weighted_operator_norm(a, w),
+    "krylov": lambda a, w, b: (lambda f: (f.krylov_steps, f.rank))(wsvd(a, w, start=b)),
+    "wlsqr": lambda a, w, b: wlsqr_run(a, w, b, max_iter=10).residual_norms,
+    "spr-lc": lambda a, w, b: spr_solve(a, w, b, StoppingRule("lc"), max_iter=30)[1].stop_index,
+}
+
+
+def _scaled_to(problem, exponent):
+    """A scaled so that max |A| = 2^exponent."""
+    return problem.a * (2.0**exponent / np.abs(problem.a).max())
+
+
+def test_every_route_holds_while_sigma_1_is_in_range(shaw_1e2):
+    # at max |A| = 2^1017, sigma_1 is 1.55e308, still a double, and every
+    # route gives the natural scale's rank, steps and pick
+    problem, noisy = shaw_1e2
+    a = _scaled_to(problem, 1017)
+    out = {name: route(a, problem.weight, noisy.b) for name, route in ROUTES.items()}
+    assert out["operator-norm"] == pytest.approx(1.55e308, rel=1e-2)
+    assert (out["dense"], out["krylov"], out["spr-lc"]) == (20, (20, 20), 6)
+    assert np.all(np.isfinite(out["wlsqr"]))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_weighted_singular_value_past_the_float_range_is_rejected(shaw_1e2, route):
+    # at max |A| = 2^1018 sigma_1 is about 3.1e308: every route raises
+    # instead of returning rank 0, an infinite norm, NaN residuals or a pick
+    # made from them, and no RuntimeWarning comes first (they fail the suite)
+    problem, noisy = shaw_1e2
+    with pytest.raises(ValueError, match="weighted singular value past the float range"):
+        ROUTES[route](_scaled_to(problem, 1018), problem.weight, noisy.b)
+
+
 def test_solution_b_shape_validation():
     f = wsvd(np.eye(3), WeightMatrix.identity(3))
     solvers = (min_m_norm_ls, lambda f, b: tikhonov_wsvd(f, b, 0.1),
@@ -434,6 +476,20 @@ def test_dense_factorization_covers_every_b():
     a = rng.standard_normal((8, 6))
     fd = wsvd(a, random_weight(rng, 6))
     assert all(covers(fd, a, rng.standard_normal(8)) for _ in range(5))
+
+
+@pytest.mark.parametrize("ea, eb", [(700, 390), (700, 300), (700, 0), (-700, -390),
+                                    (300, 600), (-300, -600), (700, 700), (700, -700),
+                                    (-700, 700), (-700, -700)])
+def test_covers_holds_for_any_scale_of_a_and_b(shaw_1e2, ea, eb):
+    # covers applies A^T to the unit vector r / ||r||_2, so the product stays
+    # within sigma_1 whatever the scales; A^T r overflowed at A 2^700 with
+    # b 2^390 (RuntimeWarnings fail the suite)
+    problem, noisy = shaw_1e2
+    a, b = problem.a * 2.0**ea, noisy.b * 2.0**eb
+    fact = wsvd(a, problem.weight, start=b)
+    assert fact.krylov_steps == 20
+    assert covers(fact, a, b)
 
 
 def test_covers_validates_its_input():

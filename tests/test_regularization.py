@@ -6,8 +6,7 @@ import pytest
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, covers,
                   lcurve_curvature, lcurve_points, lsqr_baseline, min_m_norm_ls, select,
                   spr_solve, stop_dp, stop_lcurve, stop_oracle, tikhonov_opt,
-                  tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_iterate,
-                  wlsqr_run, wsvd)
+                  tikhonov_wsvd, twsvd_record, twsvd_solution, wlsqr_run, wsvd)
 from wsvd.solver import DEFAULT_MAX_ITER
 
 
@@ -251,6 +250,12 @@ def test_spr_maxiter(shaw_small):
     assert record.stop_index == len(record.ks) == 9
 
 
+def replayed(problem, noisy, state, k):
+    """x_k read as spr_solve reads it: by continuing the run for k steps."""
+    return wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=k,
+                     _bidiag=state.bidiag).x
+
+
 def test_recovered_iterate_matches_callback(shaw_small):
     # x_k = Q_k y_k from B_k is the iterate the recurrence produced
     problem, noisy = shaw_small
@@ -259,7 +264,7 @@ def test_recovered_iterate_matches_callback(shaw_small):
                       callback=lambda k, x, res, mnorm: xs.append(x))
     assert state.k == len(xs) >= 15
     for k, x in enumerate(xs, start=1):
-        assert np.array_equal(wlsqr_iterate(state.bidiag, k), x), k
+        assert np.array_equal(replayed(problem, noisy, state, k), x), k
     # and spr_solve returns it for an earlier selected index
     x_sel, rec = spr_solve(problem.a, problem.weight, noisy.b,
                            StoppingRule("oracle", x_true=problem.x_true), max_iter=30)
@@ -269,9 +274,10 @@ def test_recovered_iterate_matches_callback(shaw_small):
 
 @pytest.mark.parametrize("name, terminated_at", [("shaw", 20), ("phillips", None)])
 def test_every_recovered_iterate_is_the_solvers_own(name, terminated_at):
-    # live steps and iterate recovery share one update, so wlsqr_iterate
-    # gives the callback's x_k bit for bit at every k, the terminating one
-    # included, and spr_solve returns the iterate whose error it reports
+    # live steps and iterate recovery share one update, so continuing the
+    # run for k steps gives the callback's x_k bit for bit at every k, the
+    # terminating one included, and spr_solve returns the iterate whose
+    # error it reports
     problem = build_problem(name, 120, 101)
     noisy = add_noise(problem, 1e-3, 0)
     xs = []
@@ -280,7 +286,7 @@ def test_every_recovered_iterate_is_the_solvers_own(name, terminated_at):
     assert state.bidiag.termination_step == terminated_at
     assert state.k == len(xs) == (terminated_at or 30)
     for k, x in enumerate(xs, start=1):
-        assert np.array_equal(wlsqr_iterate(state.bidiag, k), x), k
+        assert np.array_equal(replayed(problem, noisy, state, k), x), k
     nx = np.linalg.norm(problem.x_true)
     for kind in ("lc", "oracle"):
         x, rec = spr_solve(problem.a, problem.weight, noisy.b,

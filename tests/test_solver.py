@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 
 from wsvd import (StoppingRule, WeightMatrix, add_noise, build_problem, min_m_norm_ls,
                   project_bidiagonal, spr_solve, wgkb_init, wgkb_run, wlsqr_init,
-                  wlsqr_iterate, wlsqr_run, wlsqr_step, wsvd)
+                  wlsqr_run, wlsqr_step, wsvd)
 
 from conftest import traced_peak
 from test_weights import random_spd
@@ -201,16 +201,11 @@ def test_the_terminating_residual_is_the_true_residual(table_breakdown):
 
 
 def test_the_terminating_iterate_is_recovered_exactly(table_breakdown):
-    _, _, state = table_breakdown
-    assert np.array_equal(wlsqr_iterate(state.bidiag, state.k), state.x)
-
-
-@pytest.mark.parametrize("k", [0, 9])
-def test_iterate_rejects_a_k_outside_the_completed_steps(k):
-    a, weight, b = setup_random(3)
-    state = wlsqr_run(a, weight, b, max_iter=8)
-    with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 8, got {k}"):
-        wlsqr_iterate(state.bidiag, k)
+    # continuing the run for its k steps replays the terminating step too
+    problem, noisy, state = table_breakdown
+    replay = wlsqr_run(problem.a, problem.weight, noisy.b, max_iter=state.k,
+                       _bidiag=state.bidiag)
+    assert np.array_equal(replay.x, state.x)
 
 
 def test_the_terminating_iterate_is_the_krylov_wsvd_solution(table_breakdown):

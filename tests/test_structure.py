@@ -13,17 +13,16 @@ import wsvd
 SRC = Path(wsvd.__file__).resolve().parent
 
 
+def _calls(tree):
+    """Names of the functions called under tree, as a bare name or an
+    attribute."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
 def called_names(path):
-    """Names of the functions path calls, as a bare name or an attribute."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                names.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                names.add(func.attr)
-    return names
+    """Names of the functions path calls."""
+    return _calls(ast.parse(path.read_text()))
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
@@ -116,10 +115,16 @@ def test_only_advance_updates_the_iterate():
     assert owners == {("_advance", "x"), ("_advance", "w")}
 
 
-def test_iterate_recovery_never_steps():
-    # wlsqr_iterate replays stored columns only, so traced step counts
-    # do not see it
-    assert not _names(_solver_functions()["wlsqr_iterate"]) & {"wlsqr_step", "wgkb_step"}
+def test_one_entry_replays_stored_columns():
+    # a fresh solver state over an existing recursion is made only where a
+    # run starts: wlsqr_init on a new recursion, and wlsqr_run on the one
+    # spr_solve keeps, which is how spr_solve also reads an earlier iterate
+    callers = {name for name, func in _solver_functions().items()
+               if "_start" in _calls(func)}
+    assert callers == {"wlsqr_init", "wlsqr_run"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "solver.py":
+            assert "_start" not in called_names(path), path.name
 
 
 def test_only_spr_solve_continues_a_kept_recursion():
