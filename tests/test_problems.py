@@ -226,6 +226,68 @@ def test_build_problem_peak_memory_at_table_size(name):
     assert peak <= 1.05 * prob.a.nbytes
 
 
+def test_phillips_a_backs_only_the_pages_its_support_writes():
+    # tracemalloc does not see phillips' mapping, so resident memory gates
+    # it: at table size 56% of A is zero outside the kernel's support, and
+    # a full read afterwards maps the zero page, which backs nothing
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for VmRSS")
+    code = (
+        "import zlib, numpy as np, wsvd\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh"
+        " if line.startswith('VmRSS:'))\n"
+        "wsvd.build_problem('phillips', 600, 501)\n"
+        "before = rss()\n"
+        "p = wsvd.build_problem('phillips')\n"
+        "built = rss()\n"
+        "zlib.crc32(p.a), p.a @ p.x_true, p.a.T @ np.ones(p.m)\n"
+        "print(built - before, rss() - built, p.a.nbytes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsvd.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    grown, read, nbytes = map(int, out.split())
+    assert grown <= 0.75 * nbytes
+    assert read < 2**20
+    # the dense kernels keep numpy's allocator, and with it its huge pages
+    for name in ("shaw", "expst", "green"):
+        assert build_problem(name, 600, 501).a.base is None
+
+
+@pytest.mark.parametrize("m,n", [(600, 501), pytest.param(None, None, id="table")])
+def test_the_storage_of_phillips_a_changes_no_bit(m, n):
+    prob = build_problem("phillips", m, n)
+    dense = np.array(prob.a)  # numpy's allocator, every page backed
+    assert dense.base is None and np.array_equal(dense, prob.a)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.m)
+    envelope = wsvd.bidiag._envelope(prob.a)
+    assert envelope == wsvd.bidiag._envelope(dense)
+    pairs = [(wsvd.bidiag._matvec(arr, envelope, x), wsvd.bidiag._rmatvec(arr, envelope, y),
+              arr @ x, arr.T @ y) for arr in (prob.a, dense)]
+    for got, want in zip(*pairs):
+        assert np.array_equal(got, want)
+    b = add_noise(prob, 1e-3, 0).b
+    records = []
+    for arr in (prob.a, dense):
+        wsvd.regularization._kept = None  # a fresh run on each, not a replay
+        records.append(wsvd.spr_solve(arr, prob.weight, b, wsvd.StoppingRule("maxiter"),
+                                      max_iter=100)[1])
+    assert np.array_equal(records[0].residual_norms, records[1].residual_norms)
+    assert np.array_equal(records[0].solution_m_norms, records[1].solution_m_norms)
+
+
+def test_without_private_mappings_phillips_a_starts_from_zeros(monkeypatch):
+    # the span-only fill needs memory that reads zero where no span writes
+    ref = build_problem("phillips", 600, 501)
+    monkeypatch.delattr(wsvd.problems.mmap, "MAP_PRIVATE")
+    prob = build_problem("phillips", 600, 501)
+    assert prob.a.base is None
+    assert np.array_equal(prob.a, ref.a) and np.array_equal(prob.b_exact, ref.b_exact)
+
+
 def test_import_and_diagonal_solve_load_no_scipy(tmp_path):
     # only dense weights use scipy; no built-in problem has one.  The build
     # fills A on plain threads that it joins before it returns, so no thread

@@ -194,6 +194,16 @@ def test_only_build_problem_starts_threads():
     assert owners == {("problems.py", "build_problem")}
 
 
+def test_only_problems_imports_mmap():
+    # phillips' A is the one array on a private mapping (see the problems
+    # module docstring); any other mapping needs a measurement of its own
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and "mmap" in {a.name for a in node.names}
+                 or isinstance(node, ast.ImportFrom) and node.module == "mmap"}
+    assert importers == {"problems.py"}
+
+
 def _raised_text(node):
     """The string constants in the exception a raise node builds; none for
     a bare raise."""
