@@ -343,13 +343,22 @@ def write_array(path, arr, shape_header=False):
 
 
 def save_problem(dirpath, problem, noisy):
-    """Write a problem and its noisy data to a directory (created if needed)."""
+    """Write a problem and its noisy data to a directory (created if needed).
+
+    The interval [t1, t2] is read from the ends of problem.t_grid, so a
+    problem of any name is saved.  load_problem rebuilds both grids as
+    np.linspace(t1, t2, m) and np.linspace(t1, t2, n), so ValueError naming
+    the grids is raised, before anything is written, unless s_grid and
+    t_grid are exactly those."""
+    t1, t2 = float(problem.t_grid[0]), float(problem.t_grid[-1])
+    if not (np.array_equal(problem.s_grid, np.linspace(t1, t2, problem.m))
+            and np.array_equal(problem.t_grid, np.linspace(t1, t2, problem.n))):
+        raise ValueError(f"s_grid and t_grid must be np.linspace({t1!r}, {t2!r}, m and n)")
     os.makedirs(dirpath, exist_ok=True)
     write_array(os.path.join(dirpath, "A"), problem.a, shape_header=True)
     for fname, arr in (("M.diag", problem.weight.diag), ("x_true", problem.x_true),
                        ("b_exact", problem.b_exact), ("b", noisy.b), ("e", noisy.e)):
         write_array(os.path.join(dirpath, fname), arr)
-    t1, t2 = DOMAINS[problem.name]
     meta = {
         "name": problem.name,
         "m": problem.m,

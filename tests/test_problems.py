@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -433,6 +434,30 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(noisy2.e, noisy.e)
     assert noisy2.epsilon == noisy.epsilon
     assert noisy2.seed == noisy.seed
+
+
+def test_a_renamed_problem_round_trips(tmp_path):
+    # the interval comes from the grids, not from the built-in name
+    prob = dataclasses.replace(build_problem("shaw", 30, 21), name="mine")
+    noisy = add_noise(prob, 1e-2, 5)
+    save_problem(tmp_path, prob, noisy)
+    prob2, noisy2 = load_problem(tmp_path)
+    assert prob2.name == "mine"
+    for field in ("a", "x_true", "b_exact", "s_grid", "t_grid"):
+        assert np.array_equal(getattr(prob2, field), getattr(prob, field)), field
+    assert np.array_equal(prob2.weight.diag, prob.weight.diag)
+    assert np.array_equal(noisy2.b, noisy.b) and np.array_equal(noisy2.e, noisy.e)
+
+
+@pytest.mark.parametrize("grid", ["s_grid", "t_grid"])
+def test_save_rejects_grids_that_load_would_not_rebuild(tmp_path, grid):
+    prob = build_problem("shaw", 30, 21)
+    uneven = getattr(prob, grid).copy()
+    uneven[1] += 1e-3
+    prob = dataclasses.replace(prob, name="mine", **{grid: uneven})
+    with pytest.raises(ValueError, match="s_grid and t_grid must be np.linspace"):
+        save_problem(tmp_path / "out", prob, add_noise(prob, 1e-2, 5))
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_older_directory_with_a_paper_h_line_loads_its_saved_weights(tmp_path):

@@ -604,24 +604,6 @@ def test_run_record_consistency(shaw_small):
     assert rec.rule == "oracle"
 
 
-@pytest.mark.parametrize("name, corner", [("shaw", 8), ("expst", 3)])
-def test_spr_lcurve_skips_breakdown_step(name, corner):
-    # at table size both recursions break down (shaw at step 21, expst at
-    # step 9); that step's truncated iterate is blown up and its residual is
-    # positive, so it is an L-curve point, but the corner must come from the
-    # history before it
-    problem = build_problem(name)
-    noisy = add_noise(problem, 1e-3, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        x, record = spr_solve(problem.a, problem.weight, noisy.b,
-                              StoppingRule("lc"), x_true=problem.x_true)
-    assert record.terminated_at is not None
-    assert record.residual_norms[-1] > 0.0
-    assert record.stop_index == corner and record.satisfied
-    assert np.linalg.norm(x - problem.x_true) / np.linalg.norm(problem.x_true) < 0.1
-
-
 @pytest.mark.parametrize("where", ["b", "a"])
 def test_non_finite_input_rejected(shaw_small, where):
     problem, noisy = shaw_small
