@@ -6,14 +6,18 @@ x_true = f(t), b_exact = A x_true.  The weight matrix ties the discrete
 M-norm to the continuous L2 norm, which is what makes the M-geometry the
 faithful one for these problems.
 
-phillips' kernel phi(s - t) is zero for |s - t| >= 3, so 56% of its
-table-size A is zero.  build_problem writes only each row block's support
-columns of that A, into a private anonymous mapping without huge pages: the
-pages no block writes are never backed and read as +0.0 from the operating
-system's zero page, so A backs 36.9 of its 57.2 MiB at table size, however
-often it is read.  A dense copy, such as np.array(a), backs every page.
-The other kernels have no zero columns, and their A is a numpy array,
-which numpy advises onto huge pages.
+A has one fill path: build_problem writes each row block's kernel values
+straight into the block's column span of A and reads the block's rows of
+b_exact back from A.  phillips' kernel phi(s - t) is zero for |s - t| >= 3,
+so 56% of its table-size A is zero and its spans are narrower than a row.
+Its A is on a private anonymous mapping without huge pages: the pages no
+span writes are never backed and read as +0.0 from the operating system's
+zero page, so A backs 36.9 of its 57.2 MiB at table size, however often it
+is read.  load_problem gives a loaded A the same storage and writes only the
+entries whose bits are not +0.0, so a loaded phillips A backs no more.  A
+dense copy, such as np.array(a), backs every page.  The other kernels' spans
+are whole rows, and their A is a numpy array, which numpy advises onto huge
+pages.
 """
 
 import mmap
@@ -116,16 +120,18 @@ def _phillips_phi(x):
 
 
 def _t_terms(name, t):
-    """What _kernel_into needs of t: (sin t, cos t) for shaw, t otherwise.
+    """What _kernel_into needs of t, as one array whose last axis is t's:
+    sin t and cos t stacked for shaw, t otherwise.
 
-    A build evaluates them once for all its row blocks.
+    A build evaluates them once for all its row blocks, each of which takes
+    its column span as [..., c0:c1].
     """
-    return (np.sin(t), np.cos(t)) if name == "shaw" else t
+    return np.stack((np.sin(t), np.cos(t))) if name == "shaw" else t
 
 
 def _kernel_into(name, s, t, out):
     """Write K(s, t) into out, whose shape is the broadcast shape of s and t;
-    t comes as _t_terms(name, t), which for shaw is (sin t, cos t).
+    t comes as _t_terms(name, t), which for shaw is sin t and cos t stacked.
 
     Only in-place ufuncs on out are used, so the temporaries are shaw's sinc
     factor and bool masks, each the size of out.
@@ -221,6 +227,22 @@ def _zero_pages(m, n):
     return np.frombuffer(buf).reshape(m, n)
 
 
+def _a_storage(name, s, t):
+    """Storage for the A of problem name on the grids s and t, reading +0.0
+    everywhere until written, with its row-block height and the column span
+    (_support) of each row block.
+
+    Where some span is narrower than n, as on phillips, the storage comes
+    from _zero_pages, so only the pages a writer touches are backed;
+    otherwise from np.zeros, which numpy advises onto huge pages.
+    """
+    m, n = len(s), len(t)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    spans = [_support(name, s[j:j + rows], t) for j in range(0, m, rows)]
+    a = np.zeros((m, n)) if set(spans) == {(0, n)} else _zero_pages(m, n)
+    return a, rows, spans
+
+
 def _cpus():
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -231,22 +253,17 @@ def _cpus():
 def build_problem(name, m=None, n=None):
     """Assemble a test problem; dimensions default to the reference table.
 
-    A is allocated once and filled in place in row blocks of about
-    _BLOCK_BYTES; the entries have the bits of kernel_eval over the whole
-    grid, times w.  Each block's rows of b_exact are the block times x_true,
-    taken while the block is in cache, so A is read once and b_exact does
-    not depend on the BLAS thread count.  The blocks are shared out to the
-    caller and min(CPUs, blocks, _MAX_WORKERS) - 1 helper threads, joined
-    before the build returns; the build holds A plus one block of
-    temporaries per thread.
-
-    Where a block's support (_support) is narrower than its rows, as on
-    phillips, A comes from _zero_pages and only the support columns of each
-    block are written.  The block is then assembled full-width in a
-    per-thread buffer, from which b_exact is taken and the support columns
-    are copied, so A and b_exact keep their bits and the product reads no
-    page of A that the build leaves unbacked.  The other problems fill A,
-    from np.empty, in place.
+    A comes from _a_storage and is filled in place in row blocks of about
+    _BLOCK_BYTES.  Each block writes the kernel times w straight into its
+    column span, which is every column except on phillips, whose kernel is
+    zero outside it; the columns no span writes read +0.0 from the storage,
+    so every entry has the bits of kernel_eval over the whole grid, times w.
+    Each block's rows of b_exact are its rows of A times x_true, taken while
+    the block is in cache, so A is read once and b_exact does not depend on
+    the BLAS thread count.  The blocks are shared out to the caller and
+    min(CPUs, blocks, _MAX_WORKERS) - 1 helper threads, joined before the
+    build returns; the build holds A plus one block of temporaries per
+    thread.
     """
     if name not in TABLE_DIMS:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
@@ -261,28 +278,21 @@ def build_problem(name, m=None, n=None):
     w = simpson_weights(n, t1, t2)
     x_true = true_solution(name, t)
     b_exact = np.empty(m)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    spans = [_support(name, s[j:j + rows], t) for j in range(0, m, rows)]
-    sparse = set(spans) != {(0, n)}
-    a = _zero_pages(m, n) if sparse else np.empty((m, n))
+    a, rows, spans = _a_storage(name, s, t)
     t_terms = _t_terms(name, t[None, :])
-    # next() on a range iterator is atomic under the GIL, so every block is
-    # taken by exactly one thread
-    blocks = iter(range(0, m, rows))
+    # next() on a zip of a range and a list is atomic under the GIL, so
+    # every block is taken by exactly one thread
+    blocks = zip(range(0, m, rows), spans)
 
     errors = []
 
     def fill():
-        buffer = np.empty((min(rows, m), n)) if sparse else None
         try:
-            for j in blocks:
-                block = buffer[:min(rows, m - j)] if sparse else a[j:j + rows]
-                _kernel_into(name, s[j:j + rows, None], t_terms, block)
-                block *= w
-                np.matmul(block, x_true, out=b_exact[j:j + rows])
-                if sparse:
-                    c0, c1 = spans[j // rows]
-                    a[j:j + rows, c0:c1] = block[:, c0:c1]
+            for j, (c0, c1) in blocks:
+                block = a[j:j + rows, c0:c1]
+                _kernel_into(name, s[j:j + rows, None], t_terms[..., c0:c1], block)
+                block *= w[c0:c1]
+                np.matmul(a[j:j + rows], x_true, out=b_exact[j:j + rows])
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
 
@@ -378,8 +388,10 @@ def load_problem(dirpath):
     (TestProblem, NoisyData).  The weights come from M.diag; a meta key not
     read here, which an older directory may carry, is ignored, and a missing
     one, or a value that does not parse, raises ValueError naming the meta
-    file and the key.  A is read straight into its array, so it is held
-    once."""
+    file and the key.  A gets the storage build_problem would give it
+    (_a_storage, from the meta's name and grids) and is read into it a
+    piece at a time, so it is held once, and a loaded phillips A backs only
+    the pages that hold an entry whose bits are not +0.0."""
     meta = {}
     meta_path = os.path.join(dirpath, "meta")
     with open(meta_path) as fh:
@@ -400,32 +412,40 @@ def load_problem(dirpath):
     name, m, n = field("name", str), field("m", int), field("n", int)
     t1, t2 = field("t1", float), field("t2", float)
     epsilon, seed = field("epsilon", float), field("seed", int)
+    if m < 1 or n < 1:  # _a_storage needs a row block of at least one entry
+        raise ValueError(f"{meta_path}: m and n must be >= 1, got {m} and {n}")
+    s, t = np.linspace(t1, t2, m), np.linspace(t1, t2, n)
 
-    def get(fname, count, header=None):
-        # fromfile reads straight into the result, so A is held only once
+    def get(fname, out, header=False):
+        # read into out, which reads +0.0, one _BLOCK_BYTES piece at a time,
+        # writing only the entries whose bits are not +0.0: a zero-page A
+        # then backs only the pages that hold such an entry
         with open(os.path.join(dirpath, fname), "rb") as fh:
-            if header is not None:
+            if header:
                 dims = tuple(np.fromfile(fh, dtype="<i8", count=2).tolist())
-                if dims != header:
-                    raise ValueError(f"{fname}: header {dims} disagrees with meta {header}")
+                if dims != out.shape:
+                    raise ValueError(f"{fname}: header {dims} disagrees with meta {out.shape}")
             found = (os.fstat(fh.fileno()).st_size - fh.tell()) / 8
-            if found != count:
-                raise ValueError(f"{fname}: expected {count} values, found {found:.12g}")
-            arr = np.fromfile(fh, dtype="<f8", count=count)
-        return arr.astype(float, copy=False)
+            if found != out.size:
+                raise ValueError(f"{fname}: expected {out.size} values, found {found:.12g}")
+            flat, piece = out.reshape(-1), np.empty(_BLOCK_BYTES // 8, dtype="<f8")
+            for i in range(0, out.size, piece.size):
+                got = piece[:fh.readinto(piece) // 8]
+                np.copyto(flat[i:i + got.size], got, where=got.view("<u8") != 0)
+        return out
 
     problem = TestProblem(
         name=name,
-        a=get("A", m * n, header=(m, n)).reshape(m, n),
-        weight=WeightMatrix.diagonal(get("M.diag", n)),
-        x_true=get("x_true", n),
-        b_exact=get("b_exact", m),
-        s_grid=np.linspace(t1, t2, m),
-        t_grid=np.linspace(t1, t2, n),
+        a=get("A", _a_storage(name, s, t)[0], header=True),
+        weight=WeightMatrix.diagonal(get("M.diag", np.zeros(n))),
+        x_true=get("x_true", np.zeros(n)),
+        b_exact=get("b_exact", np.zeros(m)),
+        s_grid=s,
+        t_grid=t,
     )
     noisy = NoisyData(
-        b=get("b", m),
-        e=get("e", m),
+        b=get("b", np.zeros(m)),
+        e=get("e", np.zeros(m)),
         epsilon=epsilon,
         seed=seed,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -209,6 +210,28 @@ def test_kernel_eval_bit_identical_at_edge_points(name, s, t):
         assert np.all(kernel_eval(name, s[:2], t[:2]) == 0.0)
 
 
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_kernel_gives_the_same_bits_on_a_column_span_as_on_the_whole_row(name):
+    # build_problem evaluates each row block on its span (_support) alone
+    # and relies on these bits: at every table-size phillips block span,
+    # and at ragged spans whose first column takes every offset 0..16
+    m, n = wsvd.problems.TABLE_DIMS[name]
+    t1, t2 = wsvd.problems.DOMAINS[name]
+    grid, t = np.linspace(t1, t2, m), np.linspace(t1, t2, n)
+    if name == "phillips":
+        rows = _block_rows(n)
+        for j in range(0, m, rows):
+            s = grid[j:j + rows, None]
+            c0, c1 = wsvd.problems._support(name, grid[j:j + rows], t)
+            assert 0 < c1 - c0 < n
+            assert np.array_equal(kernel_eval(name, s, t[c0:c1]), kernel_eval(name, s, t)[:, c0:c1])
+    s = grid[::m // 40, None]
+    full = kernel_eval(name, s, t)
+    for c0 in range(17):
+        for c1 in (c0 + 1, c0 + 7, c0 + 33, n - 16 + c0 // 2, n):
+            assert np.array_equal(kernel_eval(name, s, t[c0:c1]), full[:, c0:c1]), (c0, c1)
+
+
 @pytest.mark.parametrize("name,bound", [
     # sinc needs y and sin(y) at once; the others one buffer plus bool masks
     ("shaw", 2.2), ("phillips", 1.3), ("expst", 1.3), ("green", 1.3),
@@ -257,8 +280,9 @@ def test_phillips_a_backs_only_the_pages_its_support_writes():
         assert build_problem(name, 600, 501).a.base is None
 
 
-@pytest.mark.parametrize("m,n", [(600, 501), pytest.param(None, None, id="table")])
+@pytest.mark.parametrize("m,n", [(600, 501)])
 def test_the_storage_of_phillips_a_changes_no_bit(m, n):
+    # the table-size case is in tests/test_table_size.py, on the tier's run
     prob = build_problem("phillips", m, n)
     dense = np.array(prob.a)  # numpy's allocator, every page backed
     assert dense.base is None and np.array_equal(dense, prob.a)
@@ -278,6 +302,50 @@ def test_the_storage_of_phillips_a_changes_no_bit(m, n):
                                       max_iter=100)[1])
     assert np.array_equal(records[0].residual_norms, records[1].residual_norms)
     assert np.array_equal(records[0].solution_m_norms, records[1].solution_m_norms)
+
+
+def test_a_loaded_phillips_a_backs_only_the_pages_its_entries_need(tmp_path):
+    # load_problem gives A build_problem's storage, so a table-size phillips
+    # directory loads within the build's gate
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for VmRSS")
+    small = build_problem("phillips", 600, 501)  # loaded first, to warm imports and caches
+    save_problem(tmp_path / "small", small, add_noise(small, 1e-3, 0))
+    prob = build_problem("phillips")
+    save_problem(tmp_path / "table", prob, add_noise(prob, 1e-3, 0))
+    code = (
+        "import hashlib, sys, wsvd\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh"
+        " if line.startswith('VmRSS:'))\n"
+        "wsvd.load_problem(sys.argv[1])\n"
+        "before = rss()\n"
+        "p, _ = wsvd.load_problem(sys.argv[2])\n"
+        "print(rss() - before, p.a.nbytes, hashlib.sha256(p.a.tobytes()).hexdigest(),"
+        " hashlib.sha256(p.b_exact.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsvd.__file__))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "small"),
+                          str(tmp_path / "table")], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    grown, nbytes, a_hash, b_hash = out.split()
+    assert int(grown) <= 0.75 * int(nbytes)
+    assert a_hash == hashlib.sha256(prob.a.tobytes()).hexdigest()
+    assert b_hash == hashlib.sha256(prob.b_exact.tobytes()).hexdigest()
+
+
+def test_every_bit_of_a_loaded_phillips_a_is_kept(tmp_path):
+    # the load skips only +0.0 entries, so -0.0, a NaN payload and a nonzero
+    # outside the kernel's support all come back
+    prob = build_problem("phillips", 600, 501)
+    a = np.array(prob.a)
+    a[0, -1], a[0, -2] = 1.0, -0.0  # row 0 is zero from column 125 on
+    a[-1, 0] = np.uint64(0x7FF8_0000_0000_0123).view(np.float64)
+    prob = dataclasses.replace(prob, a=a)
+    save_problem(tmp_path, prob, add_noise(prob, 1e-3, 0))
+    loaded = load_problem(tmp_path)[0].a
+    assert np.array_equal(loaded.view(np.uint64), a.view(np.uint64))
 
 
 def test_without_private_mappings_phillips_a_starts_from_zeros(monkeypatch):
@@ -516,6 +584,17 @@ def test_load_rejects_a_header_that_disagrees_with_meta(tmp_path):
     data = path.read_bytes()
     path.write_bytes(np.array([15, 24], dtype="<i8").tobytes() + data[16:])
     with pytest.raises(ValueError, match="header"):
+        load_problem(tmp_path)
+
+
+@pytest.mark.parametrize("key,value", [("m", 0), ("n", 0), ("m", -3)])
+def test_load_rejects_a_meta_size_below_one(tmp_path, key, value):
+    prob = build_problem("expst", 24, 15)
+    save_problem(tmp_path, prob, add_noise(prob, 5e-3, 11))
+    meta = tmp_path / "meta"
+    size = {"m": 24, "n": 15}[key]
+    meta.write_text(meta.read_text().replace(f"{key}={size}\n", f"{key}={value}\n"))
+    with pytest.raises(ValueError, match="m and n must be >= 1"):
         load_problem(tmp_path)
 
 

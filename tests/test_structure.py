@@ -204,6 +204,19 @@ def test_only_problems_imports_mmap():
     assert importers == {"problems.py"}
 
 
+def test_one_helper_picks_the_storage_of_a():
+    # a built and a loaded A get the same storage: _a_storage alone calls
+    # _zero_pages, and build_problem and load_problem both call it
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for name in _calls(top) & {"_zero_pages", "_a_storage"}:
+                owners.setdefault(name, set()).add((path.name, getattr(top, "name", None)))
+    assert owners == {"_zero_pages": {("problems.py", "_a_storage")},
+                      "_a_storage": {("problems.py", "build_problem"),
+                                     ("problems.py", "load_problem")}}
+
+
 def _raised_text(node):
     """The string constants in the exception a raise node builds; none for
     a bare raise."""

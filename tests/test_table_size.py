@@ -15,11 +15,13 @@ table-size fact of the solver is read from its run:
   recurrence residual is checked against ||A x_k - b||_2 at every step and
   the last iterate against spr_solve's x, bit for bit.
 
-phillips and green run the whole budget.  shaw and expst terminate (at
-steps 21 and 9 at seed 0) with a numerically singular B_k; their
-terminating iterate is also checked against the Krylov wsvd route's
-solution and an eager dp run, and their lc corner against the terminating
-step.  The paper's comparison with plain LSQR is read from tables/ alone.
+phillips and green run the whole budget; phillips' seed-0 run also checks
+the zero-page storage of its A, whose dense copy gives the run's first 100
+steps bit for bit.  shaw and expst terminate (at steps 21 and 9 at seed 0)
+with a numerically singular B_k; their terminating iterate is also checked
+against the Krylov wsvd route's solution and an eager dp run, and their lc
+corner against the terminating step.  The paper's comparison with plain
+LSQR is read from tables/ alone.
 """
 
 import csv
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 
 from wsvd import (BidiagState, NoisyData, RunRecord, StoppingRule, WlsqrState, add_noise,
-                  build_problem, min_m_norm_ls, project_bidiagonal, regularization, select,
+                  bidiag, build_problem, min_m_norm_ls, project_bidiagonal, regularization, select,
                   spr_solve, wlsqr_run, wsvd)
 from wsvd.problems import TABLE_DIMS
 from wsvd.problems import TestProblem as Problem  # not collected as a test class
@@ -44,6 +46,13 @@ TABLES = Path(__file__).resolve().parent.parent / "tables"
 # so they share RUNS' runs and every problem's runs stay consecutive
 RUNS = [(name, seed) for name in ("shaw", "expst", "phillips", "green") for seed in (0, 1)]
 TERMINATING = RUNS[:4]
+
+# phillips' seed-0 run alone checks the storage of A.  That test takes all
+# of RUNS, the others skipped, since pytest groups a module-scoped parameter
+# by its position in its list
+STORAGE_RUNS = [run if run == ("phillips", 0) else
+                pytest.param(run, marks=pytest.mark.skip(reason="one phillips run checks A"))
+                for run in RUNS]
 
 # The steps at which shaw and expst terminate at seed 0.  At other seeds the
 # step is a rounding-level decision (ROADMAP item 2), so it is not pinned.
@@ -203,6 +212,28 @@ def test_the_terminating_iterate_is_recovered_exactly(table):
     # continuing the run for its k steps replays the terminating step too
     assert table.replay.k == len(table.history.residual_norms)
     assert np.array_equal(table.replay.x, table.x)
+
+
+@pytest.mark.parametrize("table", STORAGE_RUNS, indirect=True, ids=run_id)
+def test_the_storage_of_phillips_a_changes_no_bit(table):
+    # phillips' A is on zero pages (see the problems module docstring); a
+    # dense copy, on numpy's allocator with every page backed, gives the
+    # envelope, every product and the run's first 100 steps bit for bit.
+    # The copy's 100-step run is the one recursion this test starts.
+    problem, b = table.problem, table.noisy.b
+    dense = np.array(problem.a)
+    assert dense.base is None and np.array_equal(dense, problem.a)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(problem.n), rng.standard_normal(problem.m)
+    envelope = bidiag._envelope(problem.a)
+    assert envelope == bidiag._envelope(dense)
+    pairs = [(bidiag._matvec(arr, envelope, x), bidiag._rmatvec(arr, envelope, y),
+              arr @ x, arr.T @ y) for arr in (problem.a, dense)]
+    for got, want in zip(*pairs):
+        assert np.array_equal(got, want)
+    _, record = spr_solve(dense, problem.weight, b, StoppingRule("maxiter"), max_iter=100)
+    assert np.array_equal(record.residual_norms, table.history.residual_norms[:100])
+    assert np.array_equal(record.solution_m_norms, table.history.solution_m_norms[:100])
 
 
 @pytest.mark.parametrize("table", TERMINATING, indirect=True, ids=run_id)
